@@ -2,8 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
 #include <limits>
 #include <stdexcept>
+
+#include "phy/turbo_kernels.hpp"
+
+#if defined(RTOPEX_SIMD) && defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 namespace rtopex::phy {
 namespace {
@@ -158,6 +165,10 @@ LlrVector siso_decode(std::span<const float> sys_in,
   }
   return out;
 }
+
+}  // namespace
+
+namespace detail {
 
 // Flattened max-log-MAP over the same trellis, bit-identical to siso_decode:
 //
@@ -388,7 +399,299 @@ void siso_decode_flat_batch(const float* sys_in, const float* par_in,
   }
 }
 
+#if defined(RTOPEX_SIMD) && defined(__AVX2__)
+namespace {
+
+// std::max(x, y) returns x unless x < y, while _mm256_max_ps(a, b) returns
+// a only when a > b: passing the operands swapped keeps the scalar kernels'
+// tie (and NaN) order lane for lane.
+inline __m256 max_as_std(__m256 x, __m256 y) { return _mm256_max_ps(y, x); }
+
+// The step's (g0, g1) branch-metric pair in lanes 0 and 1; the upper lanes
+// are left undefined, and every permutation below reads lanes 0..1 only.
+inline __m256 load_gamma_pair(const float* g) {
+  return _mm256_castps128_ps256(_mm_castsi128_ps(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(g))));
+}
+
+// max over the lanes of m0 minus max over the lanes of m1. The flat kernel
+// folds the same 8 candidates left to right; a tree folds them to the same
+// float because, for finite inputs, no candidate is NaN or -0 (see
+// siso_decode_avx2), and floats that compare equal are then bit-identical.
+inline float lane_max_difference(__m256 m0, __m256 m1) {
+  __m256 r = _mm256_max_ps(_mm256_permute2f128_ps(m0, m1, 0x20),
+                           _mm256_permute2f128_ps(m0, m1, 0x31));
+  r = _mm256_max_ps(r, _mm256_permute_ps(r, _MM_SHUFFLE(1, 0, 3, 2)));
+  r = _mm256_max_ps(r, _mm256_permute_ps(r, _MM_SHUFFLE(2, 3, 0, 1)));
+  return _mm_cvtss_f32(_mm_sub_ss(_mm256_castps256_ps128(r),
+                                  _mm256_extractf128_ps(r, 1)));
+}
+
+// State-parallel max-log-MAP: one ymm holds all 8 state metrics of a step.
+// Bit-identical to siso_decode_flat, for three reasons:
+//
+//  * Two gamma values per step instead of four. g3 = -(a+b) is exactly
+//    -g0, and x + g3 == x - g0 bit for bit (IEEE subtraction adds the
+//    negation). g2 = b-a equals -(a-b) except in the sign of a zero result
+//    (a == b gives +0 for both), so x + g2 and x - g1 can differ only when
+//    x is -0. No metric ever is: the recursions start from +0 and kNegInf,
+//    and a sum is -0 only when both addends are, so by induction every
+//    alpha, beta and LLR candidate is a float other than -0.
+//  * Each next-state vector is max(perm(v, src0) + G, perm(v, src1) - G)
+//    with the flat kernel's operands in the flat kernel's order, and
+//    max_as_std keeps std::max's operand order.
+//  * The recursions are crossed: alpha runs forward from step 0 while beta
+//    runs backward from step K+3, interleaved, until they meet at `mid`.
+//    Then alpha emits the LLRs of [mid, K) from beta's kept successor
+//    gathers, and beta emits those of [0, mid) from alpha's kept rows. Two
+//    independent dependency chains share the core instead of one chain
+//    waiting on its own permute-add-max latency. Every LLR still combines
+//    (alpha[i] + gamma) + beta[i+1], the flat association order.
+//
+// Scratch: ws.gamma (2 per step), ws.alpha (alpha[0, mid), 8 per step) and
+// ws.beta_perm (the input-0 and input-1 successor gathers of beta[i+1] for
+// i in [mid, K+3), 16 per step), all grow-only.
+void siso_decode_avx2(const float* sys_in, const float* par_in, std::size_t k,
+                      DecodeWorkspace& ws, float* app_out) {
+  const std::size_t steps = k + 3;
+  const std::size_t mid = std::min(steps / 2, k);
+  grow_buffer(ws.gamma, 2 * steps);
+  grow_buffer(ws.alpha, 8 * mid);
+  grow_buffer(ws.beta_perm, 16 * (steps - mid));
+  float* g = ws.gamma.data();
+  float* alpha_rows = ws.alpha.data();
+  float* beta_rows = ws.beta_perm.data();
+
+  // (g0, g1) = (a + b, a - b) per step, pair-interleaved.
+  const __m256 half = _mm256_set1_ps(0.5f);
+  std::size_t i = 0;
+  for (; i + 8 <= steps; i += 8) {
+    const __m256 a = _mm256_mul_ps(half, _mm256_loadu_ps(sys_in + i));
+    const __m256 b = _mm256_mul_ps(half, _mm256_loadu_ps(par_in + i));
+    const __m256 g0 = _mm256_add_ps(a, b);
+    const __m256 g1 = _mm256_sub_ps(a, b);
+    const __m256 lo = _mm256_unpacklo_ps(g0, g1);  // steps 0 1 | 4 5
+    const __m256 hi = _mm256_unpackhi_ps(g0, g1);  // steps 2 3 | 6 7
+    _mm256_storeu_ps(g + 2 * i, _mm256_permute2f128_ps(lo, hi, 0x20));
+    _mm256_storeu_ps(g + 2 * i + 8, _mm256_permute2f128_ps(lo, hi, 0x31));
+  }
+  for (; i < steps; ++i) {
+    const float a = 0.5f * sys_in[i];
+    const float b = 0.5f * par_in[i];
+    g[2 * i] = a + b;
+    g[2 * i + 1] = a - b;
+  }
+
+  // Permutation tables of the transition map in siso_decode_flat. Forward:
+  // next state s is reached from alpha_src0[s] (branch metric +G[s]) and
+  // from alpha_src1[s] (-G[s]), where G = {g0, -g0, g1, -g1, -g1, g1, -g0,
+  // g0}. Backward: state s reaches beta_src0[s] on input 0 (+H[s]) and
+  // beta_src1[s] on input 1 (-H[s]), where H = {g0, g1, g1, g0, g0, g1, g1,
+  // g0}; the LLR pairs the same gathers of beta[i+1] with alpha[i] +- H.
+  const __m256i alpha_src0 = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
+  const __m256i alpha_src1 = _mm256_setr_epi32(4, 4, 5, 5, 6, 6, 7, 7);
+  const __m256i alpha_gamma = _mm256_setr_epi32(0, 0, 1, 1, 1, 1, 0, 0);
+  const __m256 alpha_sign = _mm256_castsi256_ps(_mm256_setr_epi32(
+      0, INT_MIN, 0, INT_MIN, INT_MIN, 0, INT_MIN, 0));
+  const __m256i beta_src0 = _mm256_setr_epi32(0, 2, 5, 7, 1, 3, 4, 6);
+  const __m256i beta_src1 = _mm256_setr_epi32(1, 3, 4, 6, 0, 2, 5, 7);
+  const __m256i beta_gamma = _mm256_setr_epi32(0, 1, 1, 0, 0, 1, 1, 0);
+
+  const auto alpha_next = [&](__m256 a, std::size_t step) {
+    const __m256 ga = _mm256_xor_ps(
+        _mm256_permutevar8x32_ps(load_gamma_pair(g + 2 * step), alpha_gamma),
+        alpha_sign);
+    return max_as_std(
+        _mm256_add_ps(_mm256_permutevar8x32_ps(a, alpha_src0), ga),
+        _mm256_sub_ps(_mm256_permutevar8x32_ps(a, alpha_src1), ga));
+  };
+  const auto beta_gamma_at = [&](std::size_t step) {
+    return _mm256_permutevar8x32_ps(load_gamma_pair(g + 2 * step), beta_gamma);
+  };
+  const auto emit = [&](std::size_t step, __m256 a, __m256 gb, __m256 p0,
+                        __m256 p1) {
+    app_out[step] = lane_max_difference(
+        _mm256_add_ps(_mm256_add_ps(a, gb), p0),
+        _mm256_add_ps(_mm256_sub_ps(a, gb), p1));
+  };
+
+  const __m256 start = _mm256_setr_ps(0.0f, kNegInf, kNegInf, kNegInf,
+                                      kNegInf, kNegInf, kNegInf, kNegInf);
+  __m256 alpha = start;  // alpha[ia]
+  __m256 beta = start;   // beta[ib]
+
+  // Phase 1: alpha keeps its rows, beta keeps its successor gathers.
+  const auto beta_keep = [&](__m256 b, std::size_t step) {
+    const __m256 gb = beta_gamma_at(step);
+    const __m256 p0 = _mm256_permutevar8x32_ps(b, beta_src0);
+    const __m256 p1 = _mm256_permutevar8x32_ps(b, beta_src1);
+    float* row = beta_rows + 16 * (step - mid);
+    _mm256_storeu_ps(row, p0);
+    _mm256_storeu_ps(row + 8, p1);
+    return max_as_std(_mm256_add_ps(p0, gb), _mm256_sub_ps(p1, gb));
+  };
+  std::size_t ib = steps;
+  for (std::size_t ia = 0; ia < mid; ++ia) {
+    _mm256_storeu_ps(alpha_rows + 8 * ia, alpha);
+    alpha = alpha_next(alpha, ia);
+    beta = beta_keep(beta, --ib);
+  }
+  while (ib > mid) beta = beta_keep(beta, --ib);
+
+  // Phase 2: each side finishes the other's half and emits its LLRs.
+  const auto alpha_emit = [&](__m256 a, std::size_t step) {
+    const float* row = beta_rows + 16 * (step - mid);
+    emit(step, a, beta_gamma_at(step), _mm256_loadu_ps(row),
+         _mm256_loadu_ps(row + 8));
+    return alpha_next(a, step);
+  };
+  const auto beta_emit = [&](__m256 b, std::size_t step) {
+    const __m256 gb = beta_gamma_at(step);
+    const __m256 p0 = _mm256_permutevar8x32_ps(b, beta_src0);
+    const __m256 p1 = _mm256_permutevar8x32_ps(b, beta_src1);
+    emit(step, _mm256_loadu_ps(alpha_rows + 8 * step), gb, p0, p1);
+    return max_as_std(_mm256_add_ps(p0, gb), _mm256_sub_ps(p1, gb));
+  };
+  std::size_t ia = mid;
+  for (; ia < k && ib > 0; ++ia) {
+    alpha = alpha_emit(alpha, ia);
+    beta = beta_emit(beta, --ib);
+  }
+  for (; ia < k; ++ia) alpha = alpha_emit(alpha, ia);
+  while (ib > 0) beta = beta_emit(beta, --ib);
+}
+
+// siso_decode_flat_batch with its 8 state rows held in 8 ymm registers
+// across trellis steps: each row is one state of all 8 lanes, so the
+// transition map moves whole registers and no step reloads what the
+// previous one stored. Alpha rows still go to ws.bat_alpha (the LLR pass
+// needs them), but the recursion never reads them back. Branch metrics
+// shrink to the two rows g0 and g1 exactly as in siso_decode_avx2, and every
+// max keeps the flat kernel's operand order and left-to-right fold, so each
+// lane is bit-identical to siso_decode_flat on its block.
+void siso_decode_avx2_batch(const float* sys_in, const float* par_in,
+                            std::size_t k, DecodeWorkspace& ws,
+                            float* app_out) {
+  constexpr std::size_t kL = kTurboBatchLanes;
+  static_assert(kL == 8, "one lane row per ymm register");
+  const std::size_t steps = k + 3;
+  grow_buffer(ws.bat_gamma, 2 * steps * kL);
+  grow_buffer(ws.bat_alpha, 8 * k * kL);
+  float* g = ws.bat_gamma.data();
+  float* alpha = ws.bat_alpha.data();
+
+  const __m256 half = _mm256_set1_ps(0.5f);
+  for (std::size_t i = 0; i < steps; ++i) {
+    const __m256 a = _mm256_mul_ps(half, _mm256_loadu_ps(sys_in + i * kL));
+    const __m256 c = _mm256_mul_ps(half, _mm256_loadu_ps(par_in + i * kL));
+    _mm256_storeu_ps(g + 2 * i * kL, _mm256_add_ps(a, c));
+    _mm256_storeu_ps(g + (2 * i + 1) * kL, _mm256_sub_ps(a, c));
+  }
+
+  const __m256 neg_inf = _mm256_set1_ps(kNegInf);
+  __m256 a0 = _mm256_setzero_ps(), a1 = neg_inf, a2 = neg_inf, a3 = neg_inf;
+  __m256 a4 = neg_inf, a5 = neg_inf, a6 = neg_inf, a7 = neg_inf;
+  for (std::size_t i = 0; i < k; ++i) {
+    float* row = alpha + 8 * i * kL;
+    _mm256_storeu_ps(row + 0 * kL, a0);
+    _mm256_storeu_ps(row + 1 * kL, a1);
+    _mm256_storeu_ps(row + 2 * kL, a2);
+    _mm256_storeu_ps(row + 3 * kL, a3);
+    _mm256_storeu_ps(row + 4 * kL, a4);
+    _mm256_storeu_ps(row + 5 * kL, a5);
+    _mm256_storeu_ps(row + 6 * kL, a6);
+    _mm256_storeu_ps(row + 7 * kL, a7);
+    const __m256 g0 = _mm256_loadu_ps(g + 2 * i * kL);
+    const __m256 g1 = _mm256_loadu_ps(g + (2 * i + 1) * kL);
+    const __m256 n0 = max_as_std(_mm256_add_ps(a0, g0), _mm256_sub_ps(a4, g0));
+    const __m256 n1 = max_as_std(_mm256_sub_ps(a0, g0), _mm256_add_ps(a4, g0));
+    const __m256 n2 = max_as_std(_mm256_add_ps(a1, g1), _mm256_sub_ps(a5, g1));
+    const __m256 n3 = max_as_std(_mm256_sub_ps(a1, g1), _mm256_add_ps(a5, g1));
+    const __m256 n4 = max_as_std(_mm256_sub_ps(a2, g1), _mm256_add_ps(a6, g1));
+    const __m256 n5 = max_as_std(_mm256_add_ps(a2, g1), _mm256_sub_ps(a6, g1));
+    const __m256 n6 = max_as_std(_mm256_sub_ps(a3, g0), _mm256_add_ps(a7, g0));
+    const __m256 n7 = max_as_std(_mm256_add_ps(a3, g0), _mm256_sub_ps(a7, g0));
+    a0 = n0; a1 = n1; a2 = n2; a3 = n3;
+    a4 = n4; a5 = n5; a6 = n6; a7 = n7;
+  }
+
+  __m256 b0 = _mm256_setzero_ps(), b1 = neg_inf, b2 = neg_inf, b3 = neg_inf;
+  __m256 b4 = neg_inf, b5 = neg_inf, b6 = neg_inf, b7 = neg_inf;
+  const auto beta_step = [&](__m256 g0, __m256 g1) {
+    const __m256 p0 = max_as_std(_mm256_add_ps(b0, g0), _mm256_sub_ps(b1, g0));
+    const __m256 p1 = max_as_std(_mm256_add_ps(b2, g1), _mm256_sub_ps(b3, g1));
+    const __m256 p2 = max_as_std(_mm256_add_ps(b5, g1), _mm256_sub_ps(b4, g1));
+    const __m256 p3 = max_as_std(_mm256_add_ps(b7, g0), _mm256_sub_ps(b6, g0));
+    const __m256 p4 = max_as_std(_mm256_add_ps(b1, g0), _mm256_sub_ps(b0, g0));
+    const __m256 p5 = max_as_std(_mm256_add_ps(b3, g1), _mm256_sub_ps(b2, g1));
+    const __m256 p6 = max_as_std(_mm256_add_ps(b4, g1), _mm256_sub_ps(b5, g1));
+    const __m256 p7 = max_as_std(_mm256_add_ps(b6, g0), _mm256_sub_ps(b7, g0));
+    b0 = p0; b1 = p1; b2 = p2; b3 = p3;
+    b4 = p4; b5 = p5; b6 = p6; b7 = p7;
+  };
+  for (std::size_t i = steps; i-- > k;)
+    beta_step(_mm256_loadu_ps(g + 2 * i * kL),
+              _mm256_loadu_ps(g + (2 * i + 1) * kL));
+  for (std::size_t i = k; i-- > 0;) {
+    const float* row = alpha + 8 * i * kL;
+    const __m256 g0 = _mm256_loadu_ps(g + 2 * i * kL);
+    const __m256 g1 = _mm256_loadu_ps(g + (2 * i + 1) * kL);
+    const auto term = [&](std::size_t s, __m256 gs, bool negate, __m256 b) {
+      const __m256 a = _mm256_loadu_ps(row + s * kL);
+      return _mm256_add_ps(negate ? _mm256_sub_ps(a, gs) : _mm256_add_ps(a, gs),
+                           b);
+    };
+    __m256 m0 = term(0, g0, false, b0);
+    m0 = max_as_std(m0, term(1, g1, false, b2));
+    m0 = max_as_std(m0, term(2, g1, false, b5));
+    m0 = max_as_std(m0, term(3, g0, false, b7));
+    m0 = max_as_std(m0, term(4, g0, false, b1));
+    m0 = max_as_std(m0, term(5, g1, false, b3));
+    m0 = max_as_std(m0, term(6, g1, false, b4));
+    m0 = max_as_std(m0, term(7, g0, false, b6));
+    __m256 m1 = term(0, g0, true, b1);
+    m1 = max_as_std(m1, term(1, g1, true, b3));
+    m1 = max_as_std(m1, term(2, g1, true, b4));
+    m1 = max_as_std(m1, term(3, g0, true, b6));
+    m1 = max_as_std(m1, term(4, g0, true, b0));
+    m1 = max_as_std(m1, term(5, g1, true, b2));
+    m1 = max_as_std(m1, term(6, g1, true, b5));
+    m1 = max_as_std(m1, term(7, g0, true, b7));
+    _mm256_storeu_ps(app_out + i * kL, _mm256_sub_ps(m0, m1));
+    beta_step(g0, g1);
+  }
+}
+
 }  // namespace
+#endif  // RTOPEX_SIMD && __AVX2__
+
+void siso_decode_block(const float* sys_in, const float* par_in,
+                       std::size_t k, DecodeWorkspace& ws, float* app_out) {
+#if defined(RTOPEX_SIMD) && defined(__AVX2__)
+  siso_decode_avx2(sys_in, par_in, k, ws, app_out);
+#else
+  siso_decode_flat(sys_in, par_in, k, ws, app_out);
+#endif
+}
+
+void siso_decode_batch(const float* sys_in, const float* par_in,
+                       std::size_t k, DecodeWorkspace& ws, float* app_out) {
+#if defined(RTOPEX_SIMD) && defined(__AVX2__)
+  siso_decode_avx2_batch(sys_in, par_in, k, ws, app_out);
+#else
+  siso_decode_flat_batch(sys_in, par_in, k, ws, app_out);
+#endif
+}
+
+bool siso_simd_kernels() {
+#if defined(RTOPEX_SIMD) && defined(__AVX2__)
+  return true;
+#else
+  return false;
+#endif
+}
+
+}  // namespace detail
 
 TurboCodeword TurboEncoder::encode(std::span<const std::uint8_t> bits) const {
   const std::size_t k = interleaver_.size();
@@ -493,7 +796,7 @@ void TurboDecoder::decode_into(
     // --- SISO 1 ---
     for (std::size_t i = 0; i < k; ++i)
       sys1[i] = systematic[i] + extrinsic2[i];
-    siso_decode_flat(sys1, par1, k, ws, app);
+    detail::siso_decode_block(sys1, par1, k, ws, app);
     for (std::size_t i = 0; i < k; ++i) extrinsic1[i] = app[i] - sys1[i];
 
     // --- SISO 2 (interleaved domain, gathered via the precomputed map) ---
@@ -501,7 +804,7 @@ void TurboDecoder::decode_into(
       const std::size_t src = fwd[i];
       sys2[i] = systematic[src] + extrinsic1[src];
     }
-    siso_decode_flat(sys2, par2, k, ws, app);
+    detail::siso_decode_block(sys2, par2, k, ws, app);
     for (std::size_t i = 0; i < k; ++i) {
       const std::size_t src = fwd[i];
       extrinsic2[src] = app[i] - sys2[i];
@@ -604,7 +907,7 @@ void TurboDecoder::decode_batch_into(
   for (unsigned iter = 1; iter <= lm && num_active > 0; ++iter) {
     // --- SISO 1 (rows 0..k-1 are contiguous: one flat vertical pass) ---
     for (std::size_t i = 0; i < k * kL; ++i) sys1[i] = sysc[i] + ext2[i];
-    siso_decode_flat_batch(sys1, par1, k, ws, app);
+    detail::siso_decode_batch(sys1, par1, k, ws, app);
     for (std::size_t i = 0; i < k * kL; ++i) ext1[i] = app[i] - sys1[i];
 
     // --- SISO 2 (interleaved domain; the gather moves whole rows, so each
@@ -615,7 +918,7 @@ void TurboDecoder::decode_batch_into(
       for (std::size_t b = 0; b < kL; ++b)
         s2[b] = sysc[src + b] + ext1[src + b];
     }
-    siso_decode_flat_batch(sys2, par2, k, ws, app);
+    detail::siso_decode_batch(sys2, par2, k, ws, app);
     for (std::size_t i = 0; i < k; ++i) {
       const std::size_t src = fwd[i] * kL;
       const float* ap = app + i * kL;

@@ -78,8 +78,13 @@ struct DecodeWorkspace {
   std::vector<float> extrinsic1;    ///< decoder 1 -> 2 (K).
   std::vector<float> extrinsic2;    ///< decoder 2 -> 1, deinterleaved (K).
   std::vector<float> app;           ///< SISO a-posteriori output (K).
-  std::vector<float> gamma;         ///< 4 branch metrics per step (4*(K+3)).
-  std::vector<float> alpha;         ///< forward metrics (8*(K+4)).
+  std::vector<float> gamma;         ///< branch metrics per step: 4*(K+3)
+                                    ///< flat kernel, 2*(K+3) AVX2 kernel.
+  std::vector<float> alpha;         ///< forward metrics: 8*(K+4) flat
+                                    ///< kernel, first half only AVX2.
+  std::vector<float> beta_perm;     ///< AVX2 kernel: beta successor
+                                    ///< gathers of the second half
+                                    ///< (16 per step, ~8*(K+3)).
   std::vector<std::uint8_t> bits;   ///< hard decisions (K).
   unsigned iterations = 0;          ///< of the last decode_into call.
   bool early_terminated = false;    ///< of the last decode_into call.
@@ -94,7 +99,8 @@ struct DecodeWorkspace {
   std::vector<float> bat_sys2, bat_par2;  ///< SISO 2 input rows (K+3).
   std::vector<float> bat_ext1, bat_ext2;  ///< extrinsic rows (K).
   std::vector<float> bat_app;       ///< SISO a-posteriori rows (K).
-  std::vector<float> bat_gamma;     ///< branch-metric rows (4*(K+3)).
+  std::vector<float> bat_gamma;     ///< branch-metric rows (4*(K+3)
+                                    ///< flat kernel, 2*(K+3) AVX2 kernel).
   std::vector<float> bat_alpha;     ///< forward-metric rows (8*(K+4)).
   std::vector<std::uint8_t> bat_bits;  ///< lane-contiguous decisions (K per
                                        ///< lane, lane b at [b*K, (b+1)*K)).

@@ -1,5 +1,5 @@
 // Differential tests for the vectorized PHY kernels: every optimized path
-// (SoA/SIMD FFT, table CRC, flattened turbo SISO, unrolled demapper,
+// (SoA/SIMD FFT, table CRC, flattened and AVX2 turbo SISO, unrolled demapper,
 // table-walk dematcher, cached descrambler) is checked against the retained
 // reference implementation. The turbo and FFT checks demand EXACT equality —
 // the optimized kernels are written to round identically to the references
@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -17,6 +20,7 @@
 #include "phy/rate_match.hpp"
 #include "phy/scrambler.hpp"
 #include "phy/turbo.hpp"
+#include "phy/turbo_kernels.hpp"
 #include "phy/workspace.hpp"
 
 namespace rtopex::phy {
@@ -361,6 +365,182 @@ TEST(TurboBatchDifferentialTest, CrcGatedBlockSizesMatchScalarExactly) {
   for (const std::size_t k : {104u, 512u, 6144u})
     check_batch_against_scalar(k, kTurboBatchLanes, /*lm=*/6, /*cap=*/0,
                                /*with_crc=*/true, 1400 + k, snrs, ws);
+}
+
+// --- SISO kernels: flat vs dispatched, LLR for LLR ------------------------
+//
+// The tests above compare hard decisions; these compare the a-posteriori
+// LLRs themselves, bit for bit (memcmp, so -0 vs +0 and NaN payloads count
+// as differences). In builds with RTOPEX_SIMD on an AVX2 target the
+// dispatched kernels are the AVX2 ones; elsewhere they are the flat kernels
+// and the comparison holds trivially.
+
+enum class SisoInput { kNoisy, kZeros, kTies, kLarge };
+
+/// One SISO input stream of n trellis steps. kZeros mixes exact +0 and -0
+/// into noise; kTies draws from five values so metrics tie constantly and
+/// sys == par (g1 == +0) is common; kLarge is +-1e4.
+std::vector<float> siso_stream(std::size_t n, SisoInput kind,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(n);
+  for (float& x : v) {
+    switch (kind) {
+      case SisoInput::kNoisy:
+        x = static_cast<float>(rng.normal(0.0, 3.0));
+        break;
+      case SisoInput::kZeros: {
+        const std::uint64_t r = rng.uniform_int(3);
+        x = r == 0 ? 0.0f
+                   : r == 1 ? -0.0f : static_cast<float>(rng.normal(0.0, 2.0));
+        break;
+      }
+      case SisoInput::kTies:
+        x = 0.5f * static_cast<float>(static_cast<int>(rng.uniform_int(5)) - 2);
+        break;
+      case SisoInput::kLarge:
+        x = (rng.next() & 1) ? 1e4f : -1e4f;
+        break;
+    }
+  }
+  return v;
+}
+
+constexpr SisoInput kSisoInputs[] = {SisoInput::kNoisy, SisoInput::kZeros,
+                                     SisoInput::kTies, SisoInput::kLarge};
+
+/// Every LTE block size, largest first (so later, smaller decodes run on
+/// grown workspaces holding stale data), then small sizes of both K+3
+/// parities: every valid K is a multiple of 8, so K+3 is always odd there,
+/// and the crossed schedule splits even step counts differently.
+std::vector<std::size_t> siso_block_sizes() {
+  std::vector<std::size_t> sizes(QppInterleaver::valid_block_sizes().rbegin(),
+                                 QppInterleaver::valid_block_sizes().rend());
+  for (std::size_t k = 1; k <= 17; ++k) sizes.push_back(k);
+  sizes.push_back(6143);
+  sizes.push_back(6142);
+  return sizes;
+}
+
+::testing::AssertionResult llrs_identical(const float* got, const float* want,
+                                          std::size_t n) {
+  if (std::memcmp(got, want, n * sizeof(float)) == 0)
+    return ::testing::AssertionSuccess();
+  std::size_t i = 0;
+  while (std::memcmp(got + i, want + i, sizeof(float)) == 0) ++i;
+  return ::testing::AssertionFailure()
+         << "first difference at " << i << " of " << n << ": " << got[i]
+         << " vs " << want[i];
+}
+
+constexpr float kUnwritten = std::numeric_limits<float>::quiet_NaN();
+
+TEST(SisoKernelDifferentialTest, BlockKernelMatchesFlatBitForBit) {
+  DecodeWorkspace ws_flat, ws;
+  std::uint64_t seed = 1;
+  for (const std::size_t k : siso_block_sizes()) {
+    for (const SisoInput kind : kSisoInputs) {
+      const auto sys = siso_stream(k + 3, kind, seed++);
+      const auto par = siso_stream(k + 3, kind, seed++);
+      std::vector<float> want(k, kUnwritten), got(k, kUnwritten);
+      detail::siso_decode_flat(sys.data(), par.data(), k, ws_flat,
+                               want.data());
+      detail::siso_decode_block(sys.data(), par.data(), k, ws, got.data());
+      ASSERT_TRUE(llrs_identical(got.data(), want.data(), k))
+          << "K=" << k << " input=" << static_cast<int>(kind);
+    }
+  }
+}
+
+// Eight lanes of mixed input kinds per batch: the dispatched batch kernel
+// must match the flat batch kernel row for row, and each lane must match
+// the flat per-block kernel on that lane's streams alone.
+TEST(SisoKernelDifferentialTest, BatchKernelMatchesFlatBitForBit) {
+  constexpr std::size_t kL = kTurboBatchLanes;
+  DecodeWorkspace ws_flat, ws;
+  std::uint64_t seed = 7;
+  for (const std::size_t k : siso_block_sizes()) {
+    const std::size_t steps = k + 3;
+    std::vector<float> sys(steps * kL), par(steps * kL);
+    std::vector<std::vector<float>> lane_sys(kL), lane_par(kL);
+    for (std::size_t b = 0; b < kL; ++b) {
+      const SisoInput kind = kSisoInputs[b % std::size(kSisoInputs)];
+      lane_sys[b] = siso_stream(steps, kind, seed++);
+      lane_par[b] = siso_stream(steps, kind, seed++);
+      for (std::size_t i = 0; i < steps; ++i) {
+        sys[i * kL + b] = lane_sys[b][i];
+        par[i * kL + b] = lane_par[b][i];
+      }
+    }
+    std::vector<float> want(k * kL, kUnwritten), got(k * kL, kUnwritten);
+    detail::siso_decode_flat_batch(sys.data(), par.data(), k, ws_flat,
+                                   want.data());
+    detail::siso_decode_batch(sys.data(), par.data(), k, ws, got.data());
+    ASSERT_TRUE(llrs_identical(got.data(), want.data(), k * kL))
+        << "K=" << k;
+    for (std::size_t b = 0; b < kL; ++b) {
+      std::vector<float> lane(k, kUnwritten), lane_got(k);
+      detail::siso_decode_flat(lane_sys[b].data(), lane_par[b].data(), k,
+                               ws_flat, lane.data());
+      for (std::size_t i = 0; i < k; ++i) lane_got[i] = got[i * kL + b];
+      ASSERT_TRUE(llrs_identical(lane_got.data(), lane.data(), k))
+          << "K=" << k << " lane=" << b;
+    }
+  }
+}
+
+// Whole decodes at every LTE block size, free-running and capped at 1 and
+// 3 iterations: decode_into and decode_batch_into must agree on bits and
+// iteration counts, and their final extrinsics (the LLRs the next
+// iteration would consume) must agree bit for bit between the per-block
+// and the batch kernel paths. Every eighth size (and the largest) is also
+// checked against the reference decoder, which is slow enough to dominate
+// sanitizer runs; the other turbo differentials cover it further.
+TEST(SisoKernelDifferentialTest, DecodersMatchAcrossBlockSizesAndCaps) {
+  constexpr std::size_t kL = kTurboBatchLanes;
+  const auto& sizes = QppInterleaver::valid_block_sizes();
+  DecodeWorkspace ws;
+  for (std::size_t si = 0; si < sizes.size(); ++si) {
+    const std::size_t k = sizes[si];
+    const bool with_reference = si % 8 == 0 || si + 1 == sizes.size();
+    const QppInterleaver qpp(k);
+    const TurboEncoder enc(qpp);
+    const TurboDecoder dec(qpp, 4);
+    std::vector<LlrVector> sys(2), p1(2), p2(2);
+    std::vector<TurboBatchLane> lanes(2);
+    for (std::size_t b = 0; b < 2; ++b) {
+      Rng rng(3000 + 2 * k + b);
+      const auto cw = enc.encode(random_bits(k, 5000 + 2 * k + b));
+      sys[b] = noisy_llrs(cw.systematic, b == 0 ? -1.0 : 0.5, rng);
+      p1[b] = noisy_llrs(cw.parity1, b == 0 ? -1.0 : 0.5, rng);
+      p2[b] = noisy_llrs(cw.parity2, b == 0 ? -1.0 : 0.5, rng);
+      lanes[b] = {sys[b], p1[b], p2[b]};
+    }
+    for (const unsigned cap : {0u, 1u, 3u}) {
+      dec.decode_into(sys[0], p1[0], p2[0], ws, {}, cap);
+      const BitVector bits(ws.bits.begin(),
+                           ws.bits.begin() + static_cast<std::ptrdiff_t>(k));
+      const unsigned iterations = ws.iterations;
+      const std::vector<float> ext(ws.extrinsic2.begin(),
+                                   ws.extrinsic2.begin() +
+                                       static_cast<std::ptrdiff_t>(k));
+      if (with_reference) {
+        const auto ref = dec.decode_reference(sys[0], p1[0], p2[0], {}, cap);
+        ASSERT_EQ(bits, ref.bits) << "K=" << k << " cap=" << cap;
+        ASSERT_EQ(iterations, ref.iterations) << "K=" << k << " cap=" << cap;
+      }
+
+      dec.decode_batch_into(lanes, ws, {}, cap);
+      ASSERT_TRUE(std::equal(bits.begin(), bits.end(), ws.bat_bits.begin()))
+          << "K=" << k << " cap=" << cap;
+      ASSERT_EQ(ws.bat_iterations[0], iterations)
+          << "K=" << k << " cap=" << cap;
+      std::vector<float> bat_ext(k);
+      for (std::size_t i = 0; i < k; ++i) bat_ext[i] = ws.bat_ext2[i * kL];
+      ASSERT_TRUE(llrs_identical(bat_ext.data(), ext.data(), k))
+          << "K=" << k << " cap=" << cap;
+    }
+  }
 }
 
 // --- Demapper --------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <thread>
@@ -102,6 +103,59 @@ TEST(ZeroAllocTest, TurboDecodeIntoIsAllocationFreeWhenWarm) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(ws.iterations, warm);  // deterministic reuse.
+}
+
+// Both SISO paths keep all their scratch (the AVX2 kernels' two-row branch
+// metrics and kept beta gathers included) in grow-only workspace fields:
+// once a workspace has decoded the largest block, switching block sizes
+// down and back up through decode_into and decode_batch_into must never
+// touch the heap.
+TEST(ZeroAllocTest, TurboDecodesAcrossBlockSizesAreAllocationFreeWhenWarm) {
+  struct Block {
+    std::unique_ptr<QppInterleaver> qpp;
+    std::unique_ptr<TurboDecoder> dec;
+    std::vector<LlrVector> sys, p1, p2;
+    std::vector<TurboBatchLane> lanes;
+  };
+  const auto make_block = [](std::size_t k) {
+    Block blk;
+    blk.qpp = std::make_unique<QppInterleaver>(k);
+    blk.dec = std::make_unique<TurboDecoder>(*blk.qpp, 4);
+    const TurboEncoder enc(*blk.qpp);
+    Rng rng(40 + k);
+    for (std::size_t b = 0; b < kTurboBatchLanes; ++b) {
+      BitVector bits(k);
+      for (auto& x : bits) x = static_cast<std::uint8_t>(rng.next() & 1);
+      const auto cw = enc.encode(bits);
+      const auto noisy = [&](const BitVector& s) {
+        LlrVector v(s.size());
+        for (std::size_t i = 0; i < s.size(); ++i)
+          v[i] = static_cast<float>((s[i] ? -1.0 : 1.0) + rng.normal(0.0, 0.8));
+        return v;
+      };
+      blk.sys.push_back(noisy(cw.systematic));
+      blk.p1.push_back(noisy(cw.parity1));
+      blk.p2.push_back(noisy(cw.parity2));
+    }
+    for (std::size_t b = 0; b < kTurboBatchLanes; ++b)
+      blk.lanes.push_back({blk.sys[b], blk.p1[b], blk.p2[b]});
+    return blk;
+  };
+  const Block big = make_block(6144);
+  const Block small = make_block(40);
+  const auto decode = [](const Block& blk, DecodeWorkspace& ws) {
+    blk.dec->decode_into(blk.sys[0], blk.p1[0], blk.p2[0], ws);
+    blk.dec->decode_batch_into(blk.lanes, ws);
+  };
+
+  DecodeWorkspace ws;
+  decode(big, ws);  // warm-up: every buffer reaches its K=6144 size.
+  const std::size_t allocs = count_allocations([&] {
+    decode(big, ws);
+    decode(small, ws);
+    decode(big, ws);
+  });
+  EXPECT_EQ(allocs, 0u);
 }
 
 // The full subframe path as a NodeRuntime worker drives it: begin, FFT /

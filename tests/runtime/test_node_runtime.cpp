@@ -110,13 +110,14 @@ TEST(NodeRuntimeTest, EnforcementOffOnlyRecordsMisses) {
 }
 
 TEST(NodeRuntimeTest, ThroughputBatchedDecodesEverything) {
-  // Saturating arrival (period far below this host's decode time) with
-  // enforcement off: jobs queue up, so batched workers drain several per
-  // pass and fuse their code blocks into cross-subframe SoA batches. The
-  // conservation/CRC contract must hold exactly as in latency mode.
+  // Saturating arrival (period far below this host's decode time, even
+  // with the AVX2 decode kernels) with enforcement off: jobs queue up, so
+  // batched workers drain several per pass and fuse their code blocks into
+  // cross-subframe SoA batches. The conservation/CRC contract must hold
+  // exactly as in latency mode.
   for (const auto mode : {RuntimeMode::kGlobal, RuntimeMode::kPartitioned}) {
     auto cfg = small_config(mode);
-    cfg.subframe_period = microseconds(200);
+    cfg.subframe_period = microseconds(50);
     cfg.deadline_budget = milliseconds(2);
     cfg.rtt_half = microseconds(50);
     cfg.enforce_deadlines = false;
