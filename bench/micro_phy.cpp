@@ -128,49 +128,12 @@ void BM_TurboDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_TurboDecode)->Args({6144, 1})->Args({6144, 4});
 
-// Eight-lane SoA batch decode: the cross-subframe throughput path's inner
-// kernel, amortizing one trellis walk over kTurboBatchLanes blocks. Time is
-// per batch; divide by 8 for the per-block figure comparable to
-// BM_TurboDecode.
-void BM_TurboDecodeBatch(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const auto iters = static_cast<unsigned>(state.range(1));
-  const QppInterleaver qpp(k);
-  const TurboEncoder enc(qpp);
-  const TurboDecoder dec(qpp, iters);
-  std::vector<LlrVector> sys(kTurboBatchLanes), p1(kTurboBatchLanes),
-      p2(kTurboBatchLanes);
-  std::vector<TurboBatchLane> lanes;
-  for (std::size_t b = 0; b < kTurboBatchLanes; ++b) {
-    const auto cw = enc.encode(random_bits(k, 40 + b));
-    sys[b].resize(k + 4);
-    p1[b].resize(k + 4);
-    p2[b].resize(k + 4);
-    for (std::size_t i = 0; i < k + 4; ++i) {
-      sys[b][i] = cw.systematic[i] ? -4.0f : 4.0f;
-      p1[b][i] = cw.parity1[i] ? -4.0f : 4.0f;
-      p2[b][i] = cw.parity2[i] ? -4.0f : 4.0f;
-    }
-    lanes.push_back({sys[b], p1[b], p2[b]});
-  }
-  DecodeWorkspace ws;
-  for (auto _ : state) {
-    dec.decode_batch_into(lanes, ws, {}, 0);
-    benchmark::DoNotOptimize(ws.bat_bits.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kTurboBatchLanes));
-}
-BENCHMARK(BM_TurboDecodeBatch)->Args({6144, 1})->Args({6144, 4});
-
 // One constituent SISO pass at K, called directly through the internal
-// kernel header: the flat kernels against the kernels decode_into and
-// decode_batch_into dispatch to (AVX2 in SIMD builds on x86-64). Inputs are
-// noisy LLRs, so the metrics take realistic, untied values. Batch times are
-// per 8-lane pass.
+// kernel header: the flat kernel against the kernel decode_into dispatches
+// to (AVX2 in SIMD builds on x86-64). Inputs are noisy LLRs, so the metrics
+// take realistic, untied values.
 struct SisoInputs {
-  std::vector<float> sys, par;    // one block, K + 3 steps
-  std::vector<float> bsys, bpar;  // kTurboBatchLanes blocks, lane-major
+  std::vector<float> sys, par;  // K + 3 steps
   std::vector<float> app;
 
   explicit SisoInputs(std::size_t k) {
@@ -182,35 +145,23 @@ struct SisoInputs {
       sys[i] = static_cast<float>(rng.normal(0.0, 3.0));
       par[i] = static_cast<float>(rng.normal(0.0, 3.0));
     }
-    bsys.resize(steps * kTurboBatchLanes);
-    bpar.resize(steps * kTurboBatchLanes);
-    for (float& x : bsys) x = static_cast<float>(rng.normal(0.0, 3.0));
-    for (float& x : bpar) x = static_cast<float>(rng.normal(0.0, 3.0));
-    app.resize(k * kTurboBatchLanes);
+    app.resize(k);
   }
 };
 
-template <auto Kernel, bool kBatch>
+template <auto Kernel>
 void BM_Siso(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   SisoInputs in(k);
   DecodeWorkspace ws;
-  const float* sys = kBatch ? in.bsys.data() : in.sys.data();
-  const float* par = kBatch ? in.bpar.data() : in.par.data();
   for (auto _ : state) {
-    Kernel(sys, par, k, ws, in.app.data());
+    Kernel(in.sys.data(), in.par.data(), k, ws, in.app.data());
     benchmark::DoNotOptimize(in.app.data());
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_Siso<detail::siso_decode_flat, false>)
-    ->Name("BM_SisoFlat")->Arg(6144);
-BENCHMARK(BM_Siso<detail::siso_decode_block, false>)
-    ->Name("BM_SisoBlock")->Arg(6144);
-BENCHMARK(BM_Siso<detail::siso_decode_flat_batch, true>)
-    ->Name("BM_SisoFlatBatch")->Arg(6144);
-BENCHMARK(BM_Siso<detail::siso_decode_batch, true>)
-    ->Name("BM_SisoBatch")->Arg(6144);
+BENCHMARK(BM_Siso<detail::siso_decode_flat>)->Name("BM_SisoFlat")->Arg(6144);
+BENCHMARK(BM_Siso<detail::siso_decode_block>)->Name("BM_SisoBlock")->Arg(6144);
 
 void BM_Demodulate(benchmark::State& state) {
   const auto order = static_cast<unsigned>(state.range(0));
@@ -310,8 +261,8 @@ void BM_UplinkStageDemod(benchmark::State& state) {
 BENCHMARK(BM_UplinkStageDemod)->Arg(27)->Unit(benchmark::kMicrosecond);
 
 // One full decode stage (rate dematch + turbo over all code blocks) as the
-// blocking workers now run it: every code block of the subframe fused into
-// SoA batches by run_decode_batch. decode_prepare is excluded: descrambling
+// workers run it: run_decode_batch, one code block after another through
+// the per-block decoder. decode_prepare is excluded: descrambling
 // flips job.llrs in place, so repeating it would corrupt the fixture (it is
 // measured by BM_Scrambler).
 void BM_UplinkStageDecode(benchmark::State& state) {
@@ -323,22 +274,6 @@ void BM_UplinkStageDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UplinkStageDecode)->Arg(27)->Unit(benchmark::kMicrosecond);
-
-// The per-subtask decode loop — the migratable granularity RT-OPEX mode
-// still executes (one block per subtask). The gap to BM_UplinkStageDecode
-// is the price of migration-grade preemption points.
-void BM_UplinkStageDecodeSubtasks(benchmark::State& state) {
-  SubframeFixture f(static_cast<unsigned>(state.range(0)));
-  auto& ws = UplinkRxProcessor::thread_workspace();
-  for (auto _ : state) {
-    for (std::size_t s = 0; s < f.rx->decode_subtask_count(f.job); ++s)
-      f.rx->run_decode_subtask(f.job, s, ws);
-    benchmark::DoNotOptimize(f.job.cb_results.data());
-  }
-}
-BENCHMARK(BM_UplinkStageDecodeSubtasks)
-    ->Arg(27)
-    ->Unit(benchmark::kMicrosecond);
 
 // Steady-state end-to-end subframe: the number a worker core must beat
 // every millisecond. Arg = MCS.
@@ -426,42 +361,32 @@ void run_profiled_pass(const std::string& folded_path) {
   std::printf("folded stacks -> %s\n", folded_path.c_str());
 }
 
-/// Gated with --baseline: the dispatched SISO kernels against the flat
-/// ones, all timed in this process, so the ratios hold on any host. The
-/// per-block kernel must cost at most kBlockVsFlat of siso_decode_flat, and
-/// the batch kernel's cost per lane at most kLaneVsBlock of the per-block
-/// kernel, which is the batched decode path's reason to exist. Builds
-/// without the AVX2 kernels dispatch to the flat ones, and a filter that
-/// leaves out the BM_Siso runs has nothing to compare; both skip the gate.
-/// Returns the number of failed checks.
+/// Gated with --baseline: the dispatched SISO kernel against the flat
+/// one, both timed in this process, so the ratio holds on any host. The
+/// per-block kernel must cost at most kBlockVsFlat of siso_decode_flat.
+/// Builds without the AVX2 kernel dispatch to the flat one, and a filter
+/// that leaves out the BM_Siso runs has nothing to compare; both skip the
+/// gate. Returns the number of failed checks.
 int siso_ratio_gate(const std::vector<rtopex::bench::CapturedRun>& runs) {
   constexpr double kBlockVsFlat = 0.6;
-  constexpr double kLaneVsBlock = 0.8;
   std::map<std::string, double> cpu_ns;
   for (const auto& run : runs) cpu_ns[run.name] = run.cpu_ns;
   const double flat = cpu_ns["BM_SisoFlat/6144"];
   const double block = cpu_ns["BM_SisoBlock/6144"];
-  const double batch = cpu_ns["BM_SisoBatch/6144"];
   std::printf("\nSISO ratio gate (cpu time, K=6144):\n");
   if (!detail::siso_simd_kernels()) {
     std::printf("  skipped: this build runs the flat kernels only\n");
     return 0;
   }
-  if (flat <= 0.0 || block <= 0.0 || batch <= 0.0) {
-    std::printf("  skipped: BM_SisoFlat, BM_SisoBlock and BM_SisoBatch "
-                "did not all run\n");
+  if (flat <= 0.0 || block <= 0.0) {
+    std::printf("  skipped: BM_SisoFlat and BM_SisoBlock did not both run\n");
     return 0;
   }
   const double block_vs_flat = block / flat;
-  const double lane_vs_block =
-      batch / static_cast<double>(kTurboBatchLanes) / block;
   const bool block_bad = !(block_vs_flat <= kBlockVsFlat);
-  const bool lane_bad = !(lane_vs_block <= kLaneVsBlock);
   std::printf("  per-block kernel / flat kernel      %6.3f  (<= %.2f)%s\n",
               block_vs_flat, kBlockVsFlat, block_bad ? "  FAIL" : "");
-  std::printf("  batch kernel per lane / per-block   %6.3f  (<= %.2f)%s\n",
-              lane_vs_block, kLaneVsBlock, lane_bad ? "  FAIL" : "");
-  return static_cast<int>(block_bad) + static_cast<int>(lane_bad);
+  return static_cast<int>(block_bad);
 }
 
 }  // namespace

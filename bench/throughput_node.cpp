@@ -1,15 +1,15 @@
 // Throughput-mode node benchmark: drives the real-thread NodeRuntime
-// end-to-end and reports what the FlexRAN-style batched configuration buys
-// over the default latency-oriented one. Three measurements:
+// end-to-end and reports the FlexRAN-style batched configuration next to
+// the default latency-oriented one. Three measurements:
 //
 //   1. Saturating pipeline rate (deadlines off, one worker, arrival period
 //      far below service time): subframes/sec, wall ns/subframe and
 //      process-CPU ns/subframe for the batched+pooled+pinned configuration
 //      vs the plain batch-of-1 runtime. A single worker makes the figure
-//      "work per subframe through one core" — what batching changes —
-//      instead of a measurement of worker time-slicing; the win check and
-//      the baseline gate use the CPU figure, which additionally survives
-//      noisy hosts where wall time measures the kernel scheduler.
+//      "work per subframe through one core" instead of a measurement of
+//      worker time-slicing; the baseline gate uses the CPU figure, which
+//      additionally survives noisy hosts where wall time measures the
+//      kernel scheduler.
 //   2. Per-stage mean microseconds from the batched run's subframe records.
 //   3. Capacity sweep: the largest basestation count that stays under a 1%
 //      deadline-miss rate at the sweep period with batching on.
@@ -20,16 +20,12 @@
 //   --baseline=PATH   gate ns/subframe + stage means against a committed
 //                     baseline; exit 1 on regression beyond --threshold
 //   --threshold=PCT   regression threshold (default 30)
-//   --require-win     exit 1 unless batched beats unbatched CPU ns/subframe
-//                     (CI's SIMD perf-smoke asserts the win; scalar builds
-//                     may legitimately tie — the SoA sweep needs vector
-//                     lanes to be cheaper than the per-block loop)
 //   --bs=N            basestations for the pipeline runs (default 2)
 //   --subframes=N     subframes per basestation (default 16)
 //   --period-us=N     saturating arrival period (default 200)
 //   --reps=N          pipeline repetitions per configuration, best-of (default
 //                     2: the first-ever run pays cold caches and frequency
-//                     ramp, which would otherwise flake the win check)
+//                     ramp)
 //   --sweep-period-ms=N  real-time period for the capacity sweep (default 4)
 //   --max-bs=N        sweep upper bound (default 4; 0 skips the sweep)
 #include <algorithm>
@@ -91,11 +87,10 @@ PipelineResult run_pipeline(unsigned bs, std::size_t subframes,
   cfg.rtt_half = microseconds(50);
   cfg.enforce_deadlines = false;
   // One worker drains the whole backlog: the comparison is work per
-  // subframe through a single core, which is what batching changes. With
-  // several workers time-slicing (CI containers expose few cores) the wall
-  // and CPU figures both measure preemption, not the pipeline, and the
-  // saturating period keeps the queue deep enough that batch drains fill
-  // their SoA lanes.
+  // subframe through a single core. With several workers time-slicing (CI
+  // containers expose few cores) the wall and CPU figures both measure
+  // preemption, not the pipeline, and the saturating period keeps the
+  // queue deep enough that the batched worker takes full passes.
   cfg.global_cores = 1;
   if (batched) {
     cfg.throughput.batch = 16;
@@ -198,7 +193,6 @@ unsigned sweep_max_bs(unsigned max_bs, long period_ms, std::size_t subframes) {
 int run(int argc, char** argv) {
   std::string json_path, baseline_path;
   double threshold_pct = 30.0;
-  bool require_win = false;
   unsigned bs = 2;
   std::size_t subframes = 16;
   long period_us = 200;
@@ -216,8 +210,6 @@ int run(int argc, char** argv) {
       baseline_path = val("--baseline=");
     } else if (arg.rfind("--threshold=", 0) == 0) {
       threshold_pct = std::stod(val("--threshold="));
-    } else if (arg == "--require-win") {
-      require_win = true;
     } else if (arg.rfind("--bs=", 0) == 0) {
       bs = static_cast<unsigned>(std::stoul(val("--bs=")));
     } else if (arg.rfind("--subframes=", 0) == 0) {
@@ -245,7 +237,7 @@ int run(int argc, char** argv) {
   for (const auto* p : {&batched, &plain}) {
     std::printf(
         "  %-9s %8.0f subframes/s  %9.0f ns/subframe wall  %9.0f ns cpu  "
-        "(fft %.0f us, demod %.0f us, decode %.0f us; %zu batch-decoded)\n",
+        "(fft %.0f us, demod %.0f us, decode %.0f us; %zu in passes of >= 2)\n",
         p == &batched ? "batched" : "unbatched", p->subframes_per_sec,
         p->ns_per_subframe, p->cpu_ns_per_subframe, p->fft_us, p->demod_us,
         p->decode_us, p->batched_subframes);
@@ -317,19 +309,6 @@ int run(int argc, char** argv) {
     root.set("summary", std::move(summary));
     write_bench_json(json_path, root);
     std::printf("wrote %s\n", json_path.c_str());
-  }
-
-  // The win check runs on CPU time per subframe: batching exists to shrink
-  // the work per subframe, and unlike wall time that number survives noisy
-  // or oversubscribed hosts (a 1-core container timeslicing 4 workers
-  // measures its scheduler, not the pipeline, through the wall clock).
-  if (require_win &&
-      batched.cpu_ns_per_subframe >= plain.cpu_ns_per_subframe) {
-    std::fprintf(stderr,
-                 "throughput gate: batched (%.0f cpu ns/subframe) did not "
-                 "beat unbatched (%.0f cpu ns/subframe)\n",
-                 batched.cpu_ns_per_subframe, plain.cpu_ns_per_subframe);
-    return 1;
   }
 
   if (!baseline_path.empty()) {

@@ -38,9 +38,9 @@
 //                        --trace output
 //
 // Throughput options (partitioned/global modes):
-//   --batch N            drain up to N queued subframes per worker pass and
-//                        fuse their decode stages into one SoA batch
-//                        (default 1 = off; max 16)
+//   --batch N            take up to N already-arrived subframes per worker
+//                        queue pass and run each to completion in arrival
+//                        order (default 1 = off; max 16)
 //   --pin LIST           pin worker i to the i-th CPU of LIST (kernel
 //                        cpulist syntax, e.g. "0-3" or "0,2,4,6"); must
 //                        list at least one CPU per worker
@@ -164,8 +164,8 @@ int main(int argc, char** argv) {
   }
   if (batch > 1 && cfg.mode == runtime::RuntimeMode::kRtOpex) {
     std::fprintf(stderr,
-                 "--batch requires partitioned or global mode (RT-OPEX "
-                 "migrates decode per-subtask)\n");
+                 "--batch requires partitioned or global mode (the RT-OPEX "
+                 "worker takes one subframe per mailbox poll)\n");
     return 1;
   }
 
@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
   const std::size_t expected =
       static_cast<std::size_t>(basestations) * subframes;
   const bool conserved = report.records.size() == expected;
-  std::printf("conservation: %zu/%zu records (%s) | batch-decoded "
+  std::printf("conservation: %zu/%zu records (%s) | batched "
               "subframes: %zu\n",
               report.records.size(), expected, conserved ? "ok" : "BROKEN",
               report.batched_subframes);

@@ -283,122 +283,6 @@ void siso_decode_flat(const float* sys_in, const float* par_in, std::size_t k,
   }
 }
 
-// Batched SoA variant of siso_decode_flat: every buffer holds lane-major
-// rows of kTurboBatchLanes floats ([trellis step][8 states][8 lanes]), and
-// each scalar statement of the flat kernel becomes one row statement whose
-// lane loop is pure vertical arithmetic — lane b performs exactly the
-// operations siso_decode_flat would on block b, in the same association
-// order, so every lane is bit-identical to the scalar kernel by
-// construction. The fixed power-of-two row width keeps the lane loops
-// trivially vectorizable (one AVX2 vector or two NEON vectors per row) with
-// contiguous, shuffle-free loads; the 8-state transition shuffles move
-// whole rows, never elements within a row.
-void siso_decode_flat_batch(const float* sys_in, const float* par_in,
-                            std::size_t k, DecodeWorkspace& ws,
-                            float* app_out) {
-  constexpr std::size_t kL = kTurboBatchLanes;
-  const std::size_t steps = k + 3;
-
-  grow_buffer(ws.bat_gamma, 4 * steps * kL);
-  grow_buffer(ws.bat_alpha, 8 * (steps + 1) * kL);
-  float* __restrict__ g = ws.bat_gamma.data();
-  float* __restrict__ alpha = ws.bat_alpha.data();
-
-  // Branch-metric rows, indexed (u << 1) | z.
-  for (std::size_t i = 0; i < steps; ++i) {
-    const float* __restrict__ s = sys_in + i * kL;
-    const float* __restrict__ p = par_in + i * kL;
-    float* __restrict__ gi = g + 4 * i * kL;
-    for (std::size_t b = 0; b < kL; ++b) {
-      const float a = 0.5f * s[b];
-      const float c = 0.5f * p[b];
-      gi[0 * kL + b] = a + c;     // u=0, z=0
-      gi[1 * kL + b] = a - c;     // u=0, z=1
-      gi[2 * kL + b] = c - a;     // u=1, z=0
-      gi[3 * kL + b] = -(a + c);  // u=1, z=1
-    }
-  }
-
-  // Forward pass over the same transition map as the scalar kernel.
-  for (std::size_t b = 0; b < kL; ++b) alpha[b] = 0.0f;
-  for (std::size_t s = 1; s < 8; ++s)
-    for (std::size_t b = 0; b < kL; ++b) alpha[s * kL + b] = kNegInf;
-  for (std::size_t i = 0; i < steps; ++i) {
-    const float* __restrict__ a = alpha + 8 * i * kL;
-    float* __restrict__ n = alpha + 8 * (i + 1) * kL;
-    const float* __restrict__ g0 = g + (4 * i + 0) * kL;
-    const float* __restrict__ g1 = g + (4 * i + 1) * kL;
-    const float* __restrict__ g2 = g + (4 * i + 2) * kL;
-    const float* __restrict__ g3 = g + (4 * i + 3) * kL;
-    for (std::size_t b = 0; b < kL; ++b) {
-      n[0 * kL + b] = std::max(a[0 * kL + b] + g0[b], a[4 * kL + b] + g3[b]);
-      n[1 * kL + b] = std::max(a[0 * kL + b] + g3[b], a[4 * kL + b] + g0[b]);
-      n[2 * kL + b] = std::max(a[1 * kL + b] + g1[b], a[5 * kL + b] + g2[b]);
-      n[3 * kL + b] = std::max(a[1 * kL + b] + g2[b], a[5 * kL + b] + g1[b]);
-      n[4 * kL + b] = std::max(a[2 * kL + b] + g2[b], a[6 * kL + b] + g1[b]);
-      n[5 * kL + b] = std::max(a[2 * kL + b] + g1[b], a[6 * kL + b] + g2[b]);
-      n[6 * kL + b] = std::max(a[3 * kL + b] + g3[b], a[7 * kL + b] + g0[b]);
-      n[7 * kL + b] = std::max(a[3 * kL + b] + g0[b], a[7 * kL + b] + g3[b]);
-    }
-  }
-
-  // Backward sweep with fused LLR extraction; beta lives in two 8x8 row
-  // blocks (64 floats each — 8 AVX2 vectors) that swap roles per step.
-  alignas(64) float beta_a[8 * kL];
-  alignas(64) float beta_b[8 * kL];
-  float* __restrict__ bb = beta_a;
-  float* __restrict__ bp = beta_b;
-  for (std::size_t b = 0; b < kL; ++b) bb[b] = 0.0f;  // terminated trellis
-  for (std::size_t s = 1; s < 8; ++s)
-    for (std::size_t b = 0; b < kL; ++b) bb[s * kL + b] = kNegInf;
-  const auto beta_step = [&](std::size_t i) {
-    const float* __restrict__ g0 = g + (4 * i + 0) * kL;
-    const float* __restrict__ g1 = g + (4 * i + 1) * kL;
-    const float* __restrict__ g2 = g + (4 * i + 2) * kL;
-    const float* __restrict__ g3 = g + (4 * i + 3) * kL;
-    for (std::size_t b = 0; b < kL; ++b) {
-      bp[0 * kL + b] = std::max(bb[0 * kL + b] + g0[b], bb[1 * kL + b] + g3[b]);
-      bp[1 * kL + b] = std::max(bb[2 * kL + b] + g1[b], bb[3 * kL + b] + g2[b]);
-      bp[2 * kL + b] = std::max(bb[5 * kL + b] + g1[b], bb[4 * kL + b] + g2[b]);
-      bp[3 * kL + b] = std::max(bb[7 * kL + b] + g0[b], bb[6 * kL + b] + g3[b]);
-      bp[4 * kL + b] = std::max(bb[1 * kL + b] + g0[b], bb[0 * kL + b] + g3[b]);
-      bp[5 * kL + b] = std::max(bb[3 * kL + b] + g1[b], bb[2 * kL + b] + g2[b]);
-      bp[6 * kL + b] = std::max(bb[4 * kL + b] + g1[b], bb[5 * kL + b] + g2[b]);
-      bp[7 * kL + b] = std::max(bb[6 * kL + b] + g0[b], bb[7 * kL + b] + g3[b]);
-    }
-    std::swap(bb, bp);
-  };
-  for (std::size_t i = steps; i-- > k;) beta_step(i);
-  for (std::size_t i = k; i-- > 0;) {
-    const float* __restrict__ a = alpha + 8 * i * kL;
-    const float* __restrict__ g0 = g + (4 * i + 0) * kL;
-    const float* __restrict__ g1 = g + (4 * i + 1) * kL;
-    const float* __restrict__ g2 = g + (4 * i + 2) * kL;
-    const float* __restrict__ g3 = g + (4 * i + 3) * kL;
-    float* __restrict__ out = app_out + i * kL;
-    for (std::size_t b = 0; b < kL; ++b) {
-      float m0 = (a[0 * kL + b] + g0[b]) + bb[0 * kL + b];
-      m0 = std::max(m0, (a[1 * kL + b] + g1[b]) + bb[2 * kL + b]);
-      m0 = std::max(m0, (a[2 * kL + b] + g1[b]) + bb[5 * kL + b]);
-      m0 = std::max(m0, (a[3 * kL + b] + g0[b]) + bb[7 * kL + b]);
-      m0 = std::max(m0, (a[4 * kL + b] + g0[b]) + bb[1 * kL + b]);
-      m0 = std::max(m0, (a[5 * kL + b] + g1[b]) + bb[3 * kL + b]);
-      m0 = std::max(m0, (a[6 * kL + b] + g1[b]) + bb[4 * kL + b]);
-      m0 = std::max(m0, (a[7 * kL + b] + g0[b]) + bb[6 * kL + b]);
-      float m1 = (a[0 * kL + b] + g3[b]) + bb[1 * kL + b];
-      m1 = std::max(m1, (a[1 * kL + b] + g2[b]) + bb[3 * kL + b]);
-      m1 = std::max(m1, (a[2 * kL + b] + g2[b]) + bb[4 * kL + b]);
-      m1 = std::max(m1, (a[3 * kL + b] + g3[b]) + bb[6 * kL + b]);
-      m1 = std::max(m1, (a[4 * kL + b] + g3[b]) + bb[0 * kL + b]);
-      m1 = std::max(m1, (a[5 * kL + b] + g2[b]) + bb[2 * kL + b]);
-      m1 = std::max(m1, (a[6 * kL + b] + g2[b]) + bb[5 * kL + b]);
-      m1 = std::max(m1, (a[7 * kL + b] + g3[b]) + bb[7 * kL + b]);
-      out[b] = m0 - m1;
-    }
-    beta_step(i);
-  }
-}
-
 #if defined(RTOPEX_SIMD) && defined(__AVX2__)
 namespace {
 
@@ -561,107 +445,6 @@ void siso_decode_avx2(const float* sys_in, const float* par_in, std::size_t k,
   while (ib > 0) beta = beta_emit(beta, --ib);
 }
 
-// siso_decode_flat_batch with its 8 state rows held in 8 ymm registers
-// across trellis steps: each row is one state of all 8 lanes, so the
-// transition map moves whole registers and no step reloads what the
-// previous one stored. Alpha rows still go to ws.bat_alpha (the LLR pass
-// needs them), but the recursion never reads them back. Branch metrics
-// shrink to the two rows g0 and g1 exactly as in siso_decode_avx2, and every
-// max keeps the flat kernel's operand order and left-to-right fold, so each
-// lane is bit-identical to siso_decode_flat on its block.
-void siso_decode_avx2_batch(const float* sys_in, const float* par_in,
-                            std::size_t k, DecodeWorkspace& ws,
-                            float* app_out) {
-  constexpr std::size_t kL = kTurboBatchLanes;
-  static_assert(kL == 8, "one lane row per ymm register");
-  const std::size_t steps = k + 3;
-  grow_buffer(ws.bat_gamma, 2 * steps * kL);
-  grow_buffer(ws.bat_alpha, 8 * k * kL);
-  float* g = ws.bat_gamma.data();
-  float* alpha = ws.bat_alpha.data();
-
-  const __m256 half = _mm256_set1_ps(0.5f);
-  for (std::size_t i = 0; i < steps; ++i) {
-    const __m256 a = _mm256_mul_ps(half, _mm256_loadu_ps(sys_in + i * kL));
-    const __m256 c = _mm256_mul_ps(half, _mm256_loadu_ps(par_in + i * kL));
-    _mm256_storeu_ps(g + 2 * i * kL, _mm256_add_ps(a, c));
-    _mm256_storeu_ps(g + (2 * i + 1) * kL, _mm256_sub_ps(a, c));
-  }
-
-  const __m256 neg_inf = _mm256_set1_ps(kNegInf);
-  __m256 a0 = _mm256_setzero_ps(), a1 = neg_inf, a2 = neg_inf, a3 = neg_inf;
-  __m256 a4 = neg_inf, a5 = neg_inf, a6 = neg_inf, a7 = neg_inf;
-  for (std::size_t i = 0; i < k; ++i) {
-    float* row = alpha + 8 * i * kL;
-    _mm256_storeu_ps(row + 0 * kL, a0);
-    _mm256_storeu_ps(row + 1 * kL, a1);
-    _mm256_storeu_ps(row + 2 * kL, a2);
-    _mm256_storeu_ps(row + 3 * kL, a3);
-    _mm256_storeu_ps(row + 4 * kL, a4);
-    _mm256_storeu_ps(row + 5 * kL, a5);
-    _mm256_storeu_ps(row + 6 * kL, a6);
-    _mm256_storeu_ps(row + 7 * kL, a7);
-    const __m256 g0 = _mm256_loadu_ps(g + 2 * i * kL);
-    const __m256 g1 = _mm256_loadu_ps(g + (2 * i + 1) * kL);
-    const __m256 n0 = max_as_std(_mm256_add_ps(a0, g0), _mm256_sub_ps(a4, g0));
-    const __m256 n1 = max_as_std(_mm256_sub_ps(a0, g0), _mm256_add_ps(a4, g0));
-    const __m256 n2 = max_as_std(_mm256_add_ps(a1, g1), _mm256_sub_ps(a5, g1));
-    const __m256 n3 = max_as_std(_mm256_sub_ps(a1, g1), _mm256_add_ps(a5, g1));
-    const __m256 n4 = max_as_std(_mm256_sub_ps(a2, g1), _mm256_add_ps(a6, g1));
-    const __m256 n5 = max_as_std(_mm256_add_ps(a2, g1), _mm256_sub_ps(a6, g1));
-    const __m256 n6 = max_as_std(_mm256_sub_ps(a3, g0), _mm256_add_ps(a7, g0));
-    const __m256 n7 = max_as_std(_mm256_add_ps(a3, g0), _mm256_sub_ps(a7, g0));
-    a0 = n0; a1 = n1; a2 = n2; a3 = n3;
-    a4 = n4; a5 = n5; a6 = n6; a7 = n7;
-  }
-
-  __m256 b0 = _mm256_setzero_ps(), b1 = neg_inf, b2 = neg_inf, b3 = neg_inf;
-  __m256 b4 = neg_inf, b5 = neg_inf, b6 = neg_inf, b7 = neg_inf;
-  const auto beta_step = [&](__m256 g0, __m256 g1) {
-    const __m256 p0 = max_as_std(_mm256_add_ps(b0, g0), _mm256_sub_ps(b1, g0));
-    const __m256 p1 = max_as_std(_mm256_add_ps(b2, g1), _mm256_sub_ps(b3, g1));
-    const __m256 p2 = max_as_std(_mm256_add_ps(b5, g1), _mm256_sub_ps(b4, g1));
-    const __m256 p3 = max_as_std(_mm256_add_ps(b7, g0), _mm256_sub_ps(b6, g0));
-    const __m256 p4 = max_as_std(_mm256_add_ps(b1, g0), _mm256_sub_ps(b0, g0));
-    const __m256 p5 = max_as_std(_mm256_add_ps(b3, g1), _mm256_sub_ps(b2, g1));
-    const __m256 p6 = max_as_std(_mm256_add_ps(b4, g1), _mm256_sub_ps(b5, g1));
-    const __m256 p7 = max_as_std(_mm256_add_ps(b6, g0), _mm256_sub_ps(b7, g0));
-    b0 = p0; b1 = p1; b2 = p2; b3 = p3;
-    b4 = p4; b5 = p5; b6 = p6; b7 = p7;
-  };
-  for (std::size_t i = steps; i-- > k;)
-    beta_step(_mm256_loadu_ps(g + 2 * i * kL),
-              _mm256_loadu_ps(g + (2 * i + 1) * kL));
-  for (std::size_t i = k; i-- > 0;) {
-    const float* row = alpha + 8 * i * kL;
-    const __m256 g0 = _mm256_loadu_ps(g + 2 * i * kL);
-    const __m256 g1 = _mm256_loadu_ps(g + (2 * i + 1) * kL);
-    const auto term = [&](std::size_t s, __m256 gs, bool negate, __m256 b) {
-      const __m256 a = _mm256_loadu_ps(row + s * kL);
-      return _mm256_add_ps(negate ? _mm256_sub_ps(a, gs) : _mm256_add_ps(a, gs),
-                           b);
-    };
-    __m256 m0 = term(0, g0, false, b0);
-    m0 = max_as_std(m0, term(1, g1, false, b2));
-    m0 = max_as_std(m0, term(2, g1, false, b5));
-    m0 = max_as_std(m0, term(3, g0, false, b7));
-    m0 = max_as_std(m0, term(4, g0, false, b1));
-    m0 = max_as_std(m0, term(5, g1, false, b3));
-    m0 = max_as_std(m0, term(6, g1, false, b4));
-    m0 = max_as_std(m0, term(7, g0, false, b6));
-    __m256 m1 = term(0, g0, true, b1);
-    m1 = max_as_std(m1, term(1, g1, true, b3));
-    m1 = max_as_std(m1, term(2, g1, true, b4));
-    m1 = max_as_std(m1, term(3, g0, true, b6));
-    m1 = max_as_std(m1, term(4, g0, true, b0));
-    m1 = max_as_std(m1, term(5, g1, true, b2));
-    m1 = max_as_std(m1, term(6, g1, true, b5));
-    m1 = max_as_std(m1, term(7, g0, true, b7));
-    _mm256_storeu_ps(app_out + i * kL, _mm256_sub_ps(m0, m1));
-    beta_step(g0, g1);
-  }
-}
-
 }  // namespace
 #endif  // RTOPEX_SIMD && __AVX2__
 
@@ -671,15 +454,6 @@ void siso_decode_block(const float* sys_in, const float* par_in,
   siso_decode_avx2(sys_in, par_in, k, ws, app_out);
 #else
   siso_decode_flat(sys_in, par_in, k, ws, app_out);
-#endif
-}
-
-void siso_decode_batch(const float* sys_in, const float* par_in,
-                       std::size_t k, DecodeWorkspace& ws, float* app_out) {
-#if defined(RTOPEX_SIMD) && defined(__AVX2__)
-  siso_decode_avx2_batch(sys_in, par_in, k, ws, app_out);
-#else
-  siso_decode_flat_batch(sys_in, par_in, k, ws, app_out);
 #endif
 }
 
@@ -815,132 +589,6 @@ void TurboDecoder::decode_into(
     if (crc_check && crc_check(std::span<const std::uint8_t>(bits, k))) {
       ws.early_terminated = true;
       break;
-    }
-  }
-}
-
-void TurboDecoder::decode_batch_into(
-    std::span<const TurboBatchLane> lanes, DecodeWorkspace& ws,
-    const std::function<bool(std::size_t lane,
-                             std::span<const std::uint8_t>)>& crc_check,
-    unsigned max_iterations_override) const {
-  constexpr std::size_t kL = kTurboBatchLanes;
-  const std::size_t k = interleaver_.size();
-  const std::size_t n = lanes.size();
-  if (n == 0 || n > kL)
-    throw std::invalid_argument("decode_batch_into: 1..8 lanes required");
-  for (const TurboBatchLane& lane : lanes)
-    if (lane.systematic.size() != k + 4 || lane.parity1.size() != k + 4 ||
-        lane.parity2.size() != k + 4)
-      throw std::invalid_argument("TurboDecoder: bad stream length");
-
-  grow_buffer(ws.bat_sysc, k * kL);
-  grow_buffer(ws.bat_sys1, (k + 3) * kL);
-  grow_buffer(ws.bat_par1, (k + 3) * kL);
-  grow_buffer(ws.bat_sys2, (k + 3) * kL);
-  grow_buffer(ws.bat_par2, (k + 3) * kL);
-  grow_buffer(ws.bat_ext1, k * kL);
-  grow_buffer(ws.bat_ext2, k * kL);
-  grow_buffer(ws.bat_app, k * kL);
-  grow_buffer(ws.bat_bits, k * kL);
-  float* __restrict__ sysc = ws.bat_sysc.data();
-  float* __restrict__ sys1 = ws.bat_sys1.data();
-  float* __restrict__ par1 = ws.bat_par1.data();
-  float* __restrict__ sys2 = ws.bat_sys2.data();
-  float* __restrict__ par2 = ws.bat_par2.data();
-  float* __restrict__ ext1 = ws.bat_ext1.data();
-  float* __restrict__ ext2 = ws.bat_ext2.data();
-  float* __restrict__ app = ws.bat_app.data();
-
-  // Transpose the lane streams into lane-major rows; ragged tail lanes are
-  // zero-filled, which keeps their metrics finite (the kNegInf arithmetic
-  // never overflows) and their extrinsics identically zero — padding costs
-  // no masking anywhere in the hot loops.
-  for (std::size_t i = 0; i < k; ++i) {
-    float* sc = sysc + i * kL;
-    float* p1 = par1 + i * kL;
-    float* p2 = par2 + i * kL;
-    for (std::size_t b = 0; b < n; ++b) {
-      sc[b] = lanes[b].systematic[i];
-      p1[b] = lanes[b].parity1[i];
-      p2[b] = lanes[b].parity2[i];
-    }
-    for (std::size_t b = n; b < kL; ++b) sc[b] = p1[b] = p2[b] = 0.0f;
-  }
-  // Tail rows, unpacked exactly as decode_into (see encoder packing).
-  for (std::size_t i = 0; i < 3; ++i) {
-    float* s1 = sys1 + (k + i) * kL;
-    float* p1 = par1 + (k + i) * kL;
-    float* s2 = sys2 + (k + i) * kL;
-    float* p2 = par2 + (k + i) * kL;
-    for (std::size_t b = 0; b < kL; ++b) s1[b] = p1[b] = s2[b] = p2[b] = 0.0f;
-    for (std::size_t b = 0; b < n; ++b) {
-      s1[b] = lanes[b].systematic[k + i];
-      p1[b] = lanes[b].parity1[k + i];
-    }
-  }
-  for (std::size_t b = 0; b < n; ++b) {
-    sys2[(k + 0) * kL + b] = lanes[b].systematic[k + 3];
-    sys2[(k + 1) * kL + b] = lanes[b].parity2[k];
-    sys2[(k + 2) * kL + b] = lanes[b].parity2[k + 1];
-    par2[(k + 0) * kL + b] = lanes[b].parity1[k + 3];
-    par2[(k + 1) * kL + b] = lanes[b].parity2[k + 2];
-    par2[(k + 2) * kL + b] = lanes[b].parity2[k + 3];
-  }
-
-  for (std::size_t i = 0; i < k * kL; ++i) ext2[i] = 0.0f;
-  for (std::size_t b = 0; b < n; ++b) {
-    std::uint8_t* bits = ws.bat_bits.data() + b * k;
-    for (std::size_t i = 0; i < k; ++i) bits[i] = 0;
-  }
-  ws.bat_iterations.fill(0);
-  ws.bat_early_terminated.fill(false);
-
-  std::array<bool, kL> active{};
-  for (std::size_t b = 0; b < n; ++b) active[b] = true;
-  std::size_t num_active = n;
-
-  const std::size_t* fwd = interleaver_.forward_map().data();
-  const unsigned lm = max_iterations_override == 0
-                          ? max_iterations_
-                          : std::min(max_iterations_, max_iterations_override);
-  for (unsigned iter = 1; iter <= lm && num_active > 0; ++iter) {
-    // --- SISO 1 (rows 0..k-1 are contiguous: one flat vertical pass) ---
-    for (std::size_t i = 0; i < k * kL; ++i) sys1[i] = sysc[i] + ext2[i];
-    detail::siso_decode_batch(sys1, par1, k, ws, app);
-    for (std::size_t i = 0; i < k * kL; ++i) ext1[i] = app[i] - sys1[i];
-
-    // --- SISO 2 (interleaved domain; the gather moves whole rows, so each
-    // QPP lookup serves all 8 lanes with one contiguous row copy) ---
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t src = fwd[i] * kL;
-      float* s2 = sys2 + i * kL;
-      for (std::size_t b = 0; b < kL; ++b)
-        s2[b] = sysc[src + b] + ext1[src + b];
-    }
-    detail::siso_decode_batch(sys2, par2, k, ws, app);
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t src = fwd[i] * kL;
-      const float* ap = app + i * kL;
-      const float* s2 = sys2 + i * kL;
-      for (std::size_t b = 0; b < kL; ++b) ext2[src + b] = ap[b] - s2[b];
-    }
-
-    // Hard decisions and CRC per still-active lane; a lane whose CRC passes
-    // freezes with exactly the bits and iteration count the scalar
-    // decode_into would have returned for that block.
-    for (std::size_t b = 0; b < n; ++b) {
-      if (!active[b]) continue;
-      std::uint8_t* bits = ws.bat_bits.data() + b * k;
-      for (std::size_t i = 0; i < k; ++i)
-        bits[fwd[i]] = app[i * kL + b] < 0.0f ? 1 : 0;
-      ws.bat_iterations[b] = iter;
-      if (crc_check &&
-          crc_check(b, std::span<const std::uint8_t>(bits, k))) {
-        ws.bat_early_terminated[b] = true;
-        active[b] = false;
-        --num_active;
-      }
     }
   }
 }

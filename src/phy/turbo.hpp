@@ -50,21 +50,6 @@ struct TurboDecodeResult {
   bool early_terminated = false;  ///< CRC passed before max_iterations.
 };
 
-/// Lane width of the batched SoA decoder: one SISO pass advances this many
-/// code blocks per instruction stream. Eight lanes fill one AVX2 vector
-/// (two NEON vectors); callers may submit fewer blocks — the ragged tail
-/// lanes are padded internally and cost nothing extra.
-inline constexpr std::size_t kTurboBatchLanes = 8;
-
-/// One code block's channel LLR streams for a batched decode. All lanes of
-/// one decode_batch_into call must share the decoder's K (same interleaver);
-/// each span is K + 4 entries, packed like TurboCodeword.
-struct TurboBatchLane {
-  std::span<const float> systematic;
-  std::span<const float> parity1;
-  std::span<const float> parity2;
-};
-
 class TurboDecoder {
  public:
   /// `max_iterations` is the paper's Lm (default 4, as in §2.1).
@@ -102,29 +87,6 @@ class TurboDecoder {
       std::span<const float> systematic, std::span<const float> parity1,
       std::span<const float> parity2, DecodeWorkspace& ws,
       const std::function<bool(std::span<const std::uint8_t>)>& crc_check = {},
-      unsigned max_iterations_override = 0) const;
-
-  /// Batched SoA decode of 1..kTurboBatchLanes code blocks: the state
-  /// metrics live in lane-major rows ([trellis step][8 states][8 lanes]) so
-  /// one forward/backward sweep advances every block with vertical,
-  /// per-lane-independent arithmetic. Because each lane performs exactly
-  /// the operations of decode_into in the same association order, every
-  /// lane's hard decisions, iteration count and early-termination flag are
-  /// bit-identical to a scalar decode_into of that block alone (asserted by
-  /// the kernel differential tests, including ragged tails of 1..7 lanes).
-  ///
-  /// `crc_check` (may be empty) is called per lane after every iteration;
-  /// a lane whose CRC passes is frozen — its outputs stop updating — while
-  /// the remaining lanes keep iterating (wall time is governed by the
-  /// slowest lane, as on a single core it would be anyway).
-  ///
-  /// Results land in ws.bat_bits (lane b occupies [b*K, (b+1)*K)),
-  /// ws.bat_iterations[b] and ws.bat_early_terminated[b]. All scratch is
-  /// grow-only workspace state: zero allocations once warm.
-  void decode_batch_into(
-      std::span<const TurboBatchLane> lanes, DecodeWorkspace& ws,
-      const std::function<bool(std::size_t lane,
-                               std::span<const std::uint8_t>)>& crc_check = {},
       unsigned max_iterations_override = 0) const;
 
   /// The original branchy per-lambda-gamma implementation, retained as the

@@ -409,116 +409,11 @@ void UplinkRxProcessor::run_decode_batch(Job& job, DecodeWorkspace& ws) const {
 
 void UplinkRxProcessor::run_decode_batch(std::span<Job* const> jobs,
                                          DecodeWorkspace& ws) const {
-  constexpr std::size_t kMaxJobs = 16;
-  constexpr std::size_t kL = kTurboBatchLanes;
-  // Fewest lanes a group needs to take the SoA pass instead of decoding its
-  // blocks one by one. A pass costs a full 8 lanes whatever its fill (ragged
-  // lanes are padded): BM_TurboDecodeBatch/6144 measured 6.3-7.8x
-  // BM_TurboDecode/6144 at 1 and 4 iterations (4 vCPU KVM Xeon, Release,
-  // -DRTOPEX_SIMD=ON, AVX2 kernels on both sides). Only a full group is
-  // measured to come out ahead, so only full groups take the pass.
-  constexpr std::size_t kMinSoaLanes = kL;
-  if (jobs.empty() || jobs.size() > kMaxJobs)
+  if (jobs.empty() || jobs.size() > 16)
     throw std::invalid_argument("run_decode_batch: 1..16 jobs required");
-
-  // Distinct (block size, iteration cap) keys in first-appearance order.
-  // Lanes of one batch must share the decoder (same K / interleaver) and
-  // the degraded-mode cap, so blocks are grouped under these keys; jobs at
-  // different MCS with equal K batch together (their codecs are shared).
-  struct GroupKey {
-    std::size_t block_size;
-    unsigned cap;
-  };
-  std::array<GroupKey, kMaxJobs> keys;
-  std::size_t num_keys = 0;
-  for (const Job* job : jobs) {
-    const GroupKey key{impl_->per_mcs[job->mcs].layout.block_size,
-                       job->iteration_cap};
-    bool found = false;
-    for (std::size_t i = 0; i < num_keys; ++i)
-      found = found || (keys[i].block_size == key.block_size &&
-                        keys[i].cap == key.cap);
-    if (!found) keys[num_keys++] = key;
-  }
-
-  for (std::size_t ki = 0; ki < num_keys; ++ki) {
-    const GroupKey key = keys[ki];
-    const std::size_t k = key.block_size;
-    const std::size_t kd = k + 4;
-
-    // Gather this key's (job, block) pairs; grow-only workspace scratch.
-    ws.bat_group.clear();
-    const TurboDecoder* decoder = nullptr;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      const Job& job = *jobs[j];
-      const McsContext& ctx = impl_->per_mcs[job.mcs];
-      if (ctx.layout.block_size != k || job.iteration_cap != key.cap)
-        continue;
-      decoder = ctx.decoder.get();
-      for (std::size_t blk = 0; blk < ctx.layout.e_bits.size(); ++blk)
-        ws.bat_group.push_back(
-            static_cast<std::uint32_t>((j << 16) | blk));
-    }
-
-    for (std::size_t g0 = 0; g0 < ws.bat_group.size(); g0 += kL) {
-      const std::size_t lanes_n = std::min(kL, ws.bat_group.size() - g0);
-      // Both routes are bit-identical (the batch differential tests assert
-      // exactly that), so this is a pure cost decision; see kMinSoaLanes.
-      if (lanes_n < kMinSoaLanes) {
-        for (std::size_t b = 0; b < lanes_n; ++b) {
-          const std::uint32_t pair = ws.bat_group[g0 + b];
-          run_decode_subtask(*jobs[pair >> 16], pair & 0xFFFF, ws);
-        }
-        continue;
-      }
-      grow_buffer(ws.bat_in, kL * 3 * kd);
-      std::array<TurboBatchLane, kL> lanes{};
-      // Per-lane CRC identity: one pointer capture keeps the std::function
-      // within libstdc++'s small-object buffer — no heap allocation.
-      struct LaneCrc {
-        bool segmented;
-        std::size_t filler;
-      };
-      std::array<LaneCrc, kL> lane_crc{};
-      for (std::size_t b = 0; b < lanes_n; ++b) {
-        const std::uint32_t pair = ws.bat_group[g0 + b];
-        const Job& job = *jobs[pair >> 16];
-        const std::size_t blk = pair & 0xFFFF;
-        const McsContext& ctx = impl_->per_mcs[job.mcs];
-        float* base = ws.bat_in.data() + b * 3 * kd;
-        const std::span<float> sys(base, kd);
-        const std::span<float> par1(base + kd, kd);
-        const std::span<float> par2(base + 2 * kd, kd);
-        const std::span<const float> cb_llrs(
-            job.llrs.data() + ctx.e_offsets[blk], ctx.layout.e_bits[blk]);
-        ctx.matcher->dematch_into(cb_llrs, 0, sys, par1, par2);
-        lanes[b] = {sys, par1, par2};
-        lane_crc[b] = {ctx.layout.e_bits.size() > 1, ctx.layout.filler_bits};
-      }
-      const LaneCrc* lc = lane_crc.data();
-      const std::function<bool(std::size_t, std::span<const std::uint8_t>)>
-          crc_check = [lc](std::size_t lane,
-                           std::span<const std::uint8_t> bits) {
-            if (lc[lane].segmented) return check_crc24(bits, CrcKind::kB);
-            return check_crc24(bits.subspan(lc[lane].filler), CrcKind::kA);
-          };
-      decoder->decode_batch_into(
-          std::span<const TurboBatchLane>(lanes.data(), lanes_n), ws,
-          crc_check, key.cap);
-      for (std::size_t b = 0; b < lanes_n; ++b) {
-        const std::uint32_t pair = ws.bat_group[g0 + b];
-        Job& job = *jobs[pair >> 16];
-        const std::size_t blk = pair & 0xFFFF;
-        const std::uint8_t* bits = ws.bat_bits.data() + b * k;
-        auto& out = job.cb_results[blk];
-        out.bits.assign(bits, bits + k);
-        out.iterations = ws.bat_iterations[b];
-        out.crc_ok =
-            ws.bat_early_terminated[b] ||
-            crc_check(b, std::span<const std::uint8_t>(bits, k));
-      }
-    }
-  }
+  for (Job* job : jobs)
+    for (std::size_t i = 0; i < decode_subtask_count(*job); ++i)
+      run_decode_subtask(*job, i, ws);
 }
 
 UplinkRxResult UplinkRxProcessor::finalize(Job& job) const {

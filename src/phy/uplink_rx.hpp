@@ -101,19 +101,14 @@ class UplinkRxProcessor {
   void run_decode_subtask(Job& job, std::size_t index,
                           DecodeWorkspace& ws) const;
 
-  /// Batched decode stage: all code blocks of the subframe through the SoA
-  /// batch decoder, up to kTurboBatchLanes blocks per SISO pass.
-  /// Bit-identical to running run_decode_subtask over every index (the
-  /// differential tests assert it) — this is the throughput stage path
-  /// NodeRuntime workers take when the decode stage is not being migrated;
-  /// RT-OPEX migration keeps claiming per-block subtasks.
+  /// Whole decode stage of one subframe: run_decode_subtask over every
+  /// code block in order, on the caller's workspace. decode_prepare must
+  /// already have run.
   void run_decode_batch(Job& job, DecodeWorkspace& ws) const;
 
-  /// Cross-subframe batched decode: every code block of every job, grouped
-  /// by (block size, iteration cap) so blocks from different basestations
-  /// fill out SoA lanes that a single subframe would leave empty (a batch
-  /// SISO pass costs the same whether 3 or 8 lanes carry real blocks).
-  /// decode_prepare must already have run on each job. At most 16 jobs.
+  /// Whole decode stage of 1..16 subframes: every code block of every job,
+  /// job by job, through run_decode_subtask. decode_prepare must already
+  /// have run on each job.
   void run_decode_batch(std::span<Job* const> jobs, DecodeWorkspace& ws) const;
 
   // --- Finalize ---

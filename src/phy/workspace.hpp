@@ -89,26 +89,6 @@ struct DecodeWorkspace {
   unsigned iterations = 0;          ///< of the last decode_into call.
   bool early_terminated = false;    ///< of the last decode_into call.
 
-  // --- Batched SoA turbo decoder scratch (decode_batch_into). All float
-  // buffers hold lane-major rows of kTurboBatchLanes: element [i*8 + b] is
-  // trellis position i of lane (code block) b. Sizes below are per lane.
-  std::vector<float> bat_in;        ///< dematcher output, lane-contiguous
-                                    ///< (3 streams of K+4 per lane).
-  std::vector<float> bat_sysc;      ///< channel systematic rows (K).
-  std::vector<float> bat_sys1, bat_par1;  ///< SISO 1 input rows (K+3).
-  std::vector<float> bat_sys2, bat_par2;  ///< SISO 2 input rows (K+3).
-  std::vector<float> bat_ext1, bat_ext2;  ///< extrinsic rows (K).
-  std::vector<float> bat_app;       ///< SISO a-posteriori rows (K).
-  std::vector<float> bat_gamma;     ///< branch-metric rows (4*(K+3)
-                                    ///< flat kernel, 2*(K+3) AVX2 kernel).
-  std::vector<float> bat_alpha;     ///< forward-metric rows (8*(K+4)).
-  std::vector<std::uint8_t> bat_bits;  ///< lane-contiguous decisions (K per
-                                       ///< lane, lane b at [b*K, (b+1)*K)).
-  std::array<unsigned, 8> bat_iterations{};      ///< per-lane iterations.
-  std::array<bool, 8> bat_early_terminated{};    ///< per-lane CRC pass.
-  /// Cross-subframe batching scratch: (job, block) pairs grouped by K.
-  std::vector<std::uint32_t> bat_group;
-
   // --- Descrambler: bounded LRU sequence cache. A steady-state worker
   // cycles through its basestation's (at most 10) c_init values and pays
   // generation once per value; eviction keeps memory bounded on workers

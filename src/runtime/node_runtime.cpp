@@ -1,11 +1,9 @@
 #include "runtime/node_runtime.hpp"
 
 #include <algorithm>
-#include <array>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -81,10 +79,9 @@ struct NodeRuntime::Impl {
   std::unique_ptr<phy::UplinkRxProcessor> rx;
   std::vector<std::vector<RxVariant>> variants;  // [bs][distinct mcs]
   std::atomic<bool> running{true};
-  /// Workers that have finished per-thread setup (job buffers, workspace).
-  /// The ticker holds the schedule epoch until every worker has checked in:
-  /// batch mode allocates `batch` job buffers per worker, easily >10 ms of
-  /// page faults, which would otherwise be charged to the first subframes'
+  /// Workers that have finished per-thread setup (job buffer, workspace).
+  /// The ticker holds the schedule epoch until every worker has checked in,
+  /// so the setup's page faults are not charged to the first subframes'
   /// deadlines.
   std::atomic<unsigned> workers_ready{0};
 
@@ -162,15 +159,15 @@ struct NodeRuntime::Impl {
   std::vector<SubframeRecord> lost_records;
 
   // ---- throughput mode --------------------------------------------------
-  /// Hard cap on ThroughputConfig::batch — the cross-subframe decode
-  /// groups at most this many subframes per call.
+  /// Hard cap on ThroughputConfig::batch — the most subframes a blocking
+  /// worker takes per queue pass.
   static constexpr std::size_t kMaxBatch = 16;
   /// Per-worker pre-warmed decode workspaces (null unless
   /// config.throughput.numa_pools; built by the NodeRuntime constructor so
   /// run() timing covers schedule execution only).
   std::unique_ptr<WorkspacePool> pool;
   NumaTopology numa_topo;
-  /// Subframes decoded inside a cross-subframe batch of >= 2.
+  /// Subframes taken in a blocking-worker queue pass of >= 2.
   std::atomic<std::size_t> batched_subframes{0};
 
   bool should_pin() const {
@@ -273,7 +270,7 @@ struct NodeRuntime::Impl {
 
   /// Grows a pool workspace to its working size before the schedule
   /// starts: one full dummy decode of the highest-MCS variant through the
-  /// explicit-workspace overloads, including the SoA batch-decode buffers.
+  /// explicit-workspace overloads, per code block as the workers decode.
   /// Runs on the pool's node-pinned warmer threads, so first touch places
   /// the pages on the worker's NUMA node. (Per-c_init scramble sequences
   /// for basestations other than 0 still generate lazily on their first
@@ -292,7 +289,8 @@ struct NodeRuntime::Impl {
     for (std::size_t i = 0; i < rx->demod_subtask_count(); ++i)
       rx->run_demod_subtask(job, i);
     rx->decode_prepare(job, ws);
-    rx->run_decode_batch(job, ws);
+    for (std::size_t i = 0; i < rx->decode_subtask_count(job); ++i)
+      rx->run_decode_subtask(job, i, ws);
     rx->finalize_into(job, ws, result);
   }
 
@@ -534,119 +532,42 @@ struct NodeRuntime::Impl {
                        .kind = obs::EventKind::kRecovery, .stage = stage);
   }
 
-  /// Carry-over between the pre-decode and post-decode halves of one
-  /// subframe, split so throughput mode can fuse the decode stage of
-  /// several drained subframes into one cross-subframe SoA batch between
-  /// the halves.
-  struct JobProgress {
-    SubframeRecord rec;
-    obs::profile::Profiler::SpanToken sf_span;
-    obs::profile::Profiler::SpanToken dec_span;
-    std::size_t fft_n = 0;
-    std::size_t dec_n = 0;
-    Duration dec_sub_est = 0;
-    TimePoint t2 = 0;  ///< decode-stage start (right after demod).
-  };
+  /// Closes a subframe that never reaches the FFT: a late arrival (kLate)
+  /// or a slack-check drop (kDrop). `why` and its payload are traced right
+  /// after the completion stamp, then the kSubframeEnd, the workload
+  /// capture and the subframe's profiler span, in that order.
+  SubframeRecord end_early(unsigned self_id, const Job& j, SubframeRecord& rec,
+                           obs::EventKind why, std::uint32_t a,
+                           std::uint32_t b, std::size_t fft_n,
+                           std::size_t dec_n_est,
+                           obs::profile::Profiler::SpanToken sf_span) {
+    rec.completion = clock.now();
+    rec.deadline_missed = true;
+    if (why == obs::EventKind::kLate)
+      rec.late_arrival = true;
+    else
+      rec.dropped = true;
+    RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index, .a = a, .b = b,
+                     .core = self_id, .kind = why);
+    RTOPEX_TRACE_EVENT(trc(), .ts = rec.completion, .bs = j.bs,
+                       .index = j.index, .a = 1, .core = self_id,
+                       .kind = obs::EventKind::kSubframeEnd);
+    emit_job_spec(self_id, j, j.variant->mcs, rec, fft_n, dec_n_est);
+    if (obs::profile::Profiler* const pr = prof()) pr->end(self_id, sf_span);
+    return rec;
+  }
 
-  // `job` and `rx_result` are the calling worker's reusable buffers; all
-  // kernel scratch lives in per-thread phy::DecodeWorkspace instances (the
-  // stage methods route through UplinkRxProcessor::thread_workspace()), so
-  // a host thread executing migrated subtasks of this job brings its own
-  // workspace and a steady-state subframe allocates nothing anywhere.
+  /// One subframe end to end: arrival wait, classification, slack check,
+  /// then the FFT, demod and decode stages and finalize. `job` and
+  /// `rx_result` are the calling worker's reusable buffers; non-migrating
+  /// stages run out of `ws` (the worker's pool workspace in throughput
+  /// mode, its thread-local one otherwise). Migrated subtasks run on the
+  /// host thread's own thread-local workspace, so a steady-state subframe
+  /// allocates nothing anywhere.
   SubframeRecord process_job(unsigned self_id, phy::UplinkRxJob& job,
                              phy::UplinkRxResult& rx_result, const Job& j,
-                             bool migrate) {
-    return process_job_single(self_id, job, rx_result, j, migrate,
-                              phy::UplinkRxProcessor::thread_workspace());
-  }
-
-  /// One subframe end to end through an explicit workspace (the worker's
-  /// pool workspace in throughput mode, its thread-local one otherwise).
-  SubframeRecord process_job_single(unsigned self_id, phy::UplinkRxJob& job,
-                                    phy::UplinkRxResult& rx_result,
-                                    const Job& j, bool migrate,
-                                    phy::DecodeWorkspace& ws) {
-    JobProgress p;
-    if (!process_job_front(self_id, job, j, migrate, ws, p)) return p.rec;
-    if (migrate && p.dec_n > 1) {
-      run_stage_migrating(self_id, job, j, p.dec_n, p.dec_sub_est,
-                          /*is_fft=*/false, p.rec.timing);
-    } else if (config.throughput.batch > 1) {
-      // Throughput mode, shallow queue: every code block through the SoA
-      // decoder in one pass (bit-identical to the per-subtask loop — the
-      // kernel differential tests assert it).
-      rx->run_decode_batch(job, ws);
-    } else {
-      // Default latency-oriented runtime: per-block subtasks, the
-      // granularity the slack estimates, profiler spans and migration
-      // machinery are built around.
-      const std::size_t dec_n = rx->decode_subtask_count(job);
-      for (std::size_t s = 0; s < dec_n; ++s)
-        rx->run_decode_subtask(job, s, ws);
-    }
-    return process_job_back(self_id, job, rx_result, j, ws, p,
-                            /*decode_attr=*/-1);
-  }
-
-  /// Throughput mode: `drained.size()` subframes as one worker pass — each
-  /// runs FFT/demod in arrival order, then every admitted subframe's code
-  /// blocks decode in a single cross-subframe SoA batch, so blocks from
-  /// different basestations fill out lanes one subframe would leave empty.
-  /// The fused decode window is attributed to the records proportionally
-  /// to code-block count; finalize runs per subframe after the batch, so
-  /// each record's completion time is honest.
-  void process_job_batch(unsigned self_id,
-                         std::span<phy::UplinkRxJob> job_bufs,
-                         phy::UplinkRxResult& rx_result,
-                         std::span<const Job> drained,
-                         phy::DecodeWorkspace& ws,
-                         std::vector<SubframeRecord>& out) {
-    std::array<JobProgress, kMaxBatch> prog;
-    std::array<phy::UplinkRxJob*, kMaxBatch> ready{};
-    std::array<std::size_t, kMaxBatch> ready_idx{};
-    std::size_t n_ready = 0;
-    std::size_t total_blocks = 0;
-    for (std::size_t i = 0; i < drained.size(); ++i) {
-      if (process_job_front(self_id, job_bufs[i], drained[i],
-                            /*migrate=*/false, ws, prog[i])) {
-        ready[n_ready] = &job_bufs[i];
-        ready_idx[n_ready] = i;
-        ++n_ready;
-        total_blocks += prog[i].dec_n;
-      } else {
-        out.push_back(prog[i].rec);  // late or dropped: already complete
-      }
-    }
-    if (n_ready == 0) return;
-    const TimePoint b0 = clock.now();
-    rx->run_decode_batch(
-        std::span<phy::UplinkRxJob* const>(ready.data(), n_ready), ws);
-    const Duration window = clock.now() - b0;
-    if (n_ready > 1)
-      batched_subframes.fetch_add(n_ready, std::memory_order_relaxed);
-    for (std::size_t k = 0; k < n_ready; ++k) {
-      JobProgress& p = prog[ready_idx[k]];
-      const Duration attr =
-          total_blocks > 0
-              ? window * static_cast<Duration>(p.dec_n) /
-                    static_cast<Duration>(total_blocks)
-              : window;
-      out.push_back(process_job_back(self_id, *ready[k], rx_result,
-                                     drained[ready_idx[k]], ws, p, attr));
-    }
-  }
-
-  /// Pre-decode half: arrival wait, classification, slack check, FFT and
-  /// demod stages, decode_prepare and the decode StageBegin trace. Returns
-  /// true when the subframe reached the decode stage; false when it
-  /// finished early (late arrival or slack drop) — p.rec is complete then.
-  /// Non-migrating stages run out of `ws`.
-  bool process_job_front(unsigned self_id, phy::UplinkRxJob& job, const Job& j,
-                         bool migrate, phy::DecodeWorkspace& ws,
-                         JobProgress& p) {
-    p = JobProgress{};
-    SubframeRecord& rec = p.rec;
-    obs::profile::Profiler::SpanToken& sf_span = p.sf_span;
+                             bool migrate, phy::DecodeWorkspace& ws) {
+    SubframeRecord rec;
     rec.bs = j.bs;
     rec.index = j.index;
     rec.mcs = j.variant->mcs;
@@ -668,12 +589,12 @@ struct NodeRuntime::Impl {
                        .core = self_id,
                        .kind = obs::EventKind::kSubframeBegin);
     obs::profile::Profiler* const pr = prof();
+    obs::profile::Profiler::SpanToken sf_span;
     if (pr)
       sf_span = pr->begin(self_id, "subframe", obs::Stage::kNone, j.bs,
                           j.index);
 
     const std::size_t fft_n = rx->fft_subtask_count();
-    p.fft_n = fft_n;
     const std::size_t dec_n_est = phy::num_code_blocks(
         j.variant->mcs, config.phy.num_prb());
 
@@ -681,21 +602,11 @@ struct NodeRuntime::Impl {
     // fronthaul delivery) is classified and skipped regardless of
     // enforce_deadlines — there is no decision to make, the deadline is
     // gone, and decoding it would only stall the queue behind it.
-    if (j.arrival > j.deadline) {
-      rec.completion = clock.now();
-      rec.deadline_missed = true;
-      rec.late_arrival = true;
-      RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index,
-                       .a = obs::clamp_payload_ns(j.arrival - j.deadline),
-                       .b = obs::clamp_payload_ns(j.arrival - j.radio_time),
-                       .core = self_id, .kind = obs::EventKind::kLate);
-      RTOPEX_TRACE_EVENT(trc(), .ts = rec.completion, .bs = j.bs,
-                         .index = j.index, .a = 1, .core = self_id,
-                         .kind = obs::EventKind::kSubframeEnd);
-      emit_job_spec(self_id, j, j.variant->mcs, rec, fft_n, dec_n_est);
-      if (pr) pr->end(self_id, sf_span);
-      return false;
-    }
+    if (j.arrival > j.deadline)
+      return end_early(self_id, j, rec, obs::EventKind::kLate,
+                       obs::clamp_payload_ns(j.arrival - j.deadline),
+                       obs::clamp_payload_ns(j.arrival - j.radio_time), fft_n,
+                       dec_n_est, sf_span);
 
     rx->begin(job, j.variant->antenna_samples, j.variant->mcs,
               j.variant->tx_subframe_index);
@@ -747,19 +658,9 @@ struct NodeRuntime::Impl {
             if (cap == lmin) break;
           }
         }
-        if (!admitted) {
-          rec.completion = clock.now();
-          rec.deadline_missed = true;
-          rec.dropped = true;
-          RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index,
-                           .core = self_id, .kind = obs::EventKind::kDrop);
-          RTOPEX_TRACE_EVENT(trc(), .ts = rec.completion, .bs = j.bs,
-                             .index = j.index, .a = 1, .core = self_id,
-                             .kind = obs::EventKind::kSubframeEnd);
-          emit_job_spec(self_id, j, j.variant->mcs, rec, fft_n, dec_n_est);
-          if (pr) pr->end(self_id, sf_span);
-          return false;
-        }
+        if (!admitted)
+          return end_early(self_id, j, rec, obs::EventKind::kDrop, 0, 0,
+                           fft_n, dec_n_est, sf_span);
       }
     }
 
@@ -810,13 +711,13 @@ struct NodeRuntime::Impl {
                        .stage = obs::Stage::kDemod);
     update_estimate(demod_est_ns, rec.timing.demod);
 
-    // --- Decode prelude (the stage itself runs in the caller) ---
+    // --- Decode ---
+    obs::profile::Profiler::SpanToken dec_span;
     if (pr)
-      p.dec_span =
+      dec_span =
           pr->begin(self_id, "decode", obs::Stage::kDecode, j.bs, j.index);
     rx->decode_prepare(job, ws);
     const std::size_t dec_n = rx->decode_subtask_count(job);
-    p.dec_n = dec_n;
     // Estimate the admission logic would have used: the EWMA per-subtask
     // decode time tracks full-quality (Lm) decodes, scaled to the cap when
     // the subframe was admitted degraded. With adaptive estimation on, the
@@ -843,34 +744,23 @@ struct NodeRuntime::Impl {
                      .b = assumed_iters,
                      .core = self_id, .kind = obs::EventKind::kStageBegin,
                      .stage = obs::Stage::kDecode);
-    p.dec_sub_est = dec_sub_est;
-    p.t2 = t2;
-    return true;
-  }
-
-  /// Post-decode half: finalize, decode timing, estimate updates, closing
-  /// traces. `decode_attr` < 0 measures the stage as (now - p.t2), exactly
-  /// the original single-subframe timing; >= 0 substitutes the caller's
-  /// attribution (throughput mode: this subframe's share of the fused
-  /// batch decode window — its own decode_prepare and finalize tails stay
-  /// outside the attributed figure).
-  SubframeRecord process_job_back(unsigned self_id, phy::UplinkRxJob& job,
-                                  phy::UplinkRxResult& rx_result,
-                                  const Job& j, phy::DecodeWorkspace& ws,
-                                  JobProgress& p, Duration decode_attr) {
-    SubframeRecord& rec = p.rec;
-    obs::profile::Profiler* const pr = prof();
-    const std::size_t dec_n = p.dec_n;
+    if (migrate && dec_n > 1) {
+      run_stage_migrating(self_id, job, j, dec_n, dec_sub_est,
+                          /*is_fft=*/false, rec.timing);
+    } else {
+      for (std::size_t s = 0; s < dec_n; ++s)
+        rx->run_decode_subtask(job, s, ws);
+    }
     rx->finalize_into(job, ws, rx_result);
     if (pr)
-      pr->end(self_id, p.dec_span,
+      pr->end(self_id, dec_span,
               obs::profile::pack_decode_regressors(
                   phy::modulation_order(j.variant->mcs),
                   config.phy.num_antennas, j.variant->mcs),
               obs::profile::pack_decode_load(static_cast<unsigned>(dec_n),
                                              rx_result.iterations));
     TimePoint t3 = clock.now();
-    rec.timing.decode = decode_attr >= 0 ? decode_attr : t3 - p.t2;
+    rec.timing.decode = t3 - t2;
     RTOPEX_TRACE_EVENT(trc(), .ts = t3, .bs = j.bs, .index = j.index,
                        .core = self_id, .kind = obs::EventKind::kStageEnd,
                        .stage = obs::Stage::kDecode);
@@ -888,7 +778,7 @@ struct NodeRuntime::Impl {
     if (adaptive && job.iteration_cap == 0) {
       std::lock_guard lock(adaptive->mu);
       adaptive->est.observe_fft(rec.timing.fft /
-                                static_cast<Duration>(p.fft_n));
+                                static_cast<Duration>(fft_n));
       adaptive->est.observe_decode(
           j.bs, j.variant->mcs, rec.iterations, rec.timing.decode,
           rec.timing.decode / static_cast<Duration>(dec_n));
@@ -897,8 +787,8 @@ struct NodeRuntime::Impl {
                        .index = j.index, .a = rec.deadline_missed ? 1u : 0u,
                        .b = rec.iterations, .core = self_id,
                        .kind = obs::EventKind::kSubframeEnd);
-    emit_job_spec(self_id, j, j.variant->mcs, rec, p.fft_n, dec_n);
-    if (pr) pr->end(self_id, p.sf_span);
+    emit_job_spec(self_id, j, j.variant->mcs, rec, fft_n, dec_n);
+    if (pr) pr->end(self_id, sf_span);
     return rec;
   }
 
@@ -920,11 +810,10 @@ struct NodeRuntime::Impl {
   }
 
   // Worker body for partitioned/global modes: block on the queue. With
-  // throughput batching on, drain up to `batch` already-queued jobs per
-  // pass and fuse their decode stages into one cross-subframe SoA batch.
-  // Draining is opportunistic — it never waits for the queue to fill — so
-  // an underloaded node degenerates to batch-of-1 and pays no added
-  // latency.
+  // throughput batching on, take up to `batch` already-arrived jobs per
+  // queue pass and run each to completion in arrival order. Taking is
+  // opportunistic — it never waits for the queue to fill — so an
+  // underloaded node degenerates to batch-of-1 and pays no added latency.
   void blocking_worker(unsigned id) {
     if (should_pin()) pin_current_thread(worker_pin_core(id));
     if (config.try_fifo_priority) set_current_thread_fifo(50);
@@ -933,9 +822,7 @@ struct NodeRuntime::Impl {
     const std::size_t batch = std::min<std::size_t>(
         std::max(1u, config.throughput.batch), kMaxBatch);
     WorkerState& self = *workers[id];
-    std::vector<phy::UplinkRxJob> job_bufs;
-    job_bufs.reserve(batch);
-    for (std::size_t b = 0; b < batch; ++b) job_bufs.push_back(rx->make_job());
+    phy::UplinkRxJob job = rx->make_job();
     phy::UplinkRxResult rx_result;
     phy::DecodeWorkspace& ws =
         pool ? pool->workspace(id)
@@ -962,24 +849,22 @@ struct NodeRuntime::Impl {
           continue;
         }
         while (!queue.empty() && drained.size() < batch) {
-          // Fuse only subframes whose IQ data has already arrived: the
-          // ticker enqueues ahead of the modeled arrival, and batching a
-          // future delivery would make this pass sleep on it mid-batch
+          // Take only subframes whose IQ data has already arrived: the
+          // ticker enqueues ahead of the modeled arrival, and taking a
+          // future delivery would make this pass sleep on it mid-pass
           // while peers sit idle. The first job is taken unconditionally
-          // (the batch-of-1 path waits on it exactly like the default).
+          // (process_job waits on it exactly like the default).
           if (!drained.empty() && queue.front().arrival > clock.now()) break;
           drained.push_back(queue.front());
           queue.pop_front();
         }
       }
       self.heartbeat.fetch_add(drained.size(), std::memory_order_relaxed);
-      if (drained.size() == 1) {
-        self.records.push_back(process_job_single(
-            id, job_bufs[0], rx_result, drained[0], /*migrate=*/false, ws));
-      } else {
-        process_job_batch(id, job_bufs, rx_result, drained, ws,
-                          self.records);
-      }
+      if (drained.size() > 1)
+        batched_subframes.fetch_add(drained.size(), std::memory_order_relaxed);
+      for (const Job& j : drained)
+        self.records.push_back(
+            process_job(id, job, rx_result, j, /*migrate=*/false, ws));
       if (!global)
         self.pending.fetch_sub(static_cast<int>(drained.size()),
                                std::memory_order_acq_rel);
@@ -1015,7 +900,8 @@ struct NodeRuntime::Impl {
         if (got) {
           self.pending.fetch_sub(1, std::memory_order_acq_rel);
           self.records.push_back(
-              process_job(id, job, rx_result, j, /*migrate=*/true));
+              process_job(id, job, rx_result, j, /*migrate=*/true,
+                          phy::UplinkRxProcessor::thread_workspace()));
         }
         continue;
       }
@@ -1238,7 +1124,7 @@ struct NodeRuntime::Impl {
                     "Completion-flag waits that expired.",
                     static_cast<double>(flag_timeouts.load()));
     reg.add_counter("rtopex_runtime_batched_subframes_total",
-                    "Subframes decoded in a cross-subframe batch.",
+                    "Subframes taken in a worker queue pass of >= 2.",
                     static_cast<double>(batched_subframes.load()));
     reg.add_counter("rtopex_runtime_failovers_total",
                     "Workers declared dead by the watchdog.",
@@ -1311,12 +1197,11 @@ NodeRuntime::NodeRuntime(const RuntimeConfig& config) {
     throw std::invalid_argument("NodeRuntime: throughput.batch must be >= 1");
   if (tp.batch > 16)
     throw std::invalid_argument(
-        "NodeRuntime: throughput.batch exceeds the cross-subframe decode "
-        "limit (16)");
+        "NodeRuntime: throughput.batch exceeds the per-pass limit (16)");
   if (tp.batch > 1 && config.mode == RuntimeMode::kRtOpex)
     throw std::invalid_argument(
         "NodeRuntime: batching requires partitioned or global mode "
-        "(RT-OPEX migrates decode per-subtask)");
+        "(the RT-OPEX worker takes one subframe per mailbox poll)");
   // An explicit pin set must cover every worker — a short list would
   // silently double up workers on shared cores, which defeats isolation.
   if (!tp.worker_cores.empty() &&
@@ -1369,9 +1254,9 @@ RuntimeReport NodeRuntime::run() {
   // Start the schedule only once every worker has finished its per-thread
   // setup (and not at construction: variant pre-generation in the Impl
   // constructor can take long enough, notably under sanitizers, to push the
-  // first subframes past their deadlines). Batch mode allocates `batch` job
-  // buffers per worker — >10 ms of page faults on some hosts — and the
-  // first subframes should not pay for that either.
+  // first subframes past their deadlines). Each worker allocates its job
+  // buffer first, and the first subframes should not pay for those page
+  // faults either.
   while (im.workers_ready.load(std::memory_order_acquire) < n_workers)
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   im.clock.reset();
@@ -1568,7 +1453,7 @@ void fill_registry(const RuntimeReport& report,
                        "Migrated subtasks re-executed locally.",
                        static_cast<double>(report.recoveries));
   registry.add_counter("rtopex_runtime_batched_subframes_total",
-                       "Subframes decoded in a cross-subframe batch.",
+                       "Subframes taken in a worker queue pass of >= 2.",
                        static_cast<double>(report.batched_subframes));
   const ResilienceMetrics& res = report.resilience;
   registry.add_counter("rtopex_runtime_failovers_total",

@@ -66,18 +66,15 @@ struct ResilienceConfig {
 /// the original latency-oriented behaviour bit-for-bit.
 ///
 /// Batching applies to the blocking runtimes (partitioned/global): a worker
-/// opportunistically drains up to `batch` already-queued subframes per
-/// pass, runs each through FFT/demod, then decodes all their code blocks in
-/// one cross-subframe SoA batch (UplinkRxProcessor::run_decode_batch) so
-/// blocks from different basestations fill out SIMD lanes a single
-/// subframe would leave empty. Draining never waits for more jobs, so an
+/// takes up to `batch` already-arrived subframes per queue pass and runs
+/// each to completion, in arrival order, before starting the next. Every
+/// subframe decodes per code block, as in latency mode; batching only
+/// saves queue round trips. Taking never waits for more jobs, so an
 /// underloaded node degenerates to batch-of-1 and adds no latency. RT-OPEX
-/// mode rejects batch > 1: its migration protocol claims decode subtasks
-/// per-block across cores, which is exactly the granularity batching fuses
-/// away.
+/// mode rejects batch > 1 rather than ignore it: its worker takes one
+/// subframe at a time between migration-mailbox polls.
 struct ThroughputConfig {
-  /// Max subframes decoded per worker pass (1 = off; capped at 16 by the
-  /// cross-subframe batch decoder).
+  /// Max subframes a worker takes per queue pass (1 = off; capped at 16).
   unsigned batch = 1;
   /// Pin workers to explicit cores (FlexRAN-style core isolation) even when
   /// `pin_threads` is off. Best effort, like all affinity here.
@@ -210,8 +207,8 @@ struct RuntimeReport {
   std::size_t crc_failures = 0;  ///< decode failures among processed subframes.
   std::size_t migrations = 0;  ///< migrated subtasks (fft + decode).
   std::size_t recoveries = 0;
-  /// Subframes whose decode ran inside a cross-subframe batch of >= 2
-  /// (throughput mode only; zero whenever ThroughputConfig::batch <= 1).
+  /// Subframes a blocking worker took in a queue pass of >= 2 (throughput
+  /// mode only; zero whenever ThroughputConfig::batch <= 1).
   std::size_t batched_subframes = 0;
   ResilienceMetrics resilience;
   /// Drained trace events (empty unless RuntimeConfig::trace.enabled).

@@ -268,112 +268,13 @@ TEST(TurboKernelDifferentialTest, FreeRunningAndCappedMatchReference) {
   }
 }
 
-// --- Batched SoA turbo decoder ---------------------------------------------
-
-/// Per-lane reference decode + comparison harness: decodes `lanes_n`
-/// distinct codewords scalar (decode_reference), then batched, and demands
-/// exact agreement on bits, iteration counts and early-termination flags.
-void check_batch_against_scalar(std::size_t k, std::size_t lanes_n,
-                                unsigned lm, unsigned cap, bool with_crc,
-                                std::uint64_t seed_base,
-                                std::span<const double> snrs,
-                                DecodeWorkspace& ws) {
-  const QppInterleaver qpp(k);
-  const TurboEncoder enc(qpp);
-  const TurboDecoder dec(qpp, lm);
-  const auto crc = [](std::span<const std::uint8_t> b) {
-    return check_crc24(b, CrcKind::kB);
-  };
-
-  std::vector<LlrVector> sys(lanes_n), p1(lanes_n), p2(lanes_n);
-  std::vector<TurboDecodeResult> ref(lanes_n);
-  std::vector<TurboBatchLane> lanes(lanes_n);
-  for (std::size_t b = 0; b < lanes_n; ++b) {
-    Rng rng(seed_base + b);
-    BitVector payload = random_bits(k - 24, seed_base * 31 + b);
-    attach_crc24(payload, CrcKind::kB);
-    const auto cw = enc.encode(payload);
-    const double snr = snrs[b % snrs.size()];
-    sys[b] = noisy_llrs(cw.systematic, snr, rng);
-    p1[b] = noisy_llrs(cw.parity1, snr, rng);
-    p2[b] = noisy_llrs(cw.parity2, snr, rng);
-    ref[b] = dec.decode_reference(
-        sys[b], p1[b], p2[b],
-        with_crc ? std::function<bool(std::span<const std::uint8_t>)>(crc)
-                 : std::function<bool(std::span<const std::uint8_t>)>{},
-        cap);
-    lanes[b] = {sys[b], p1[b], p2[b]};
-  }
-
-  dec.decode_batch_into(
-      lanes, ws,
-      with_crc ? std::function<bool(std::size_t,
-                                    std::span<const std::uint8_t>)>(
-                     [&](std::size_t, std::span<const std::uint8_t> bits) {
-                       return check_crc24(bits, CrcKind::kB);
-                     })
-               : std::function<bool(std::size_t,
-                                    std::span<const std::uint8_t>)>{},
-      cap);
-
-  for (std::size_t b = 0; b < lanes_n; ++b) {
-    ASSERT_GE(ws.bat_bits.size(), (b + 1) * k);
-    EXPECT_TRUE(std::equal(ref[b].bits.begin(), ref[b].bits.end(),
-                           ws.bat_bits.begin() +
-                               static_cast<std::ptrdiff_t>(b * k)))
-        << "K=" << k << " lanes=" << lanes_n << " lane=" << b;
-    EXPECT_EQ(ws.bat_iterations[b], ref[b].iterations)
-        << "K=" << k << " lanes=" << lanes_n << " lane=" << b;
-    EXPECT_EQ(ws.bat_early_terminated[b], ref[b].early_terminated)
-        << "K=" << k << " lanes=" << lanes_n << " lane=" << b;
-  }
-}
-
-// Every batch width 1..kTurboBatchLanes (ragged tails included) with mixed
-// per-lane noise — some lanes early-terminate on the first iteration while
-// undecodable neighbours run to Lm — must reproduce the scalar reference
-// lane for lane. The workspace is shared across widths (wide before
-// narrow) to prove stale grow-only rows never leak between batches.
-TEST(TurboBatchDifferentialTest, AllBatchWidthsMatchScalarExactly) {
-  const double snrs[] = {6.0, -1.0, 2.0, -4.0, 8.0, 0.0, -2.5, 4.0};
-  DecodeWorkspace ws;
-  for (std::size_t lanes_n = kTurboBatchLanes; lanes_n >= 1; --lanes_n)
-    check_batch_against_scalar(1024, lanes_n, /*lm=*/6, /*cap=*/0,
-                               /*with_crc=*/true, 900 + 17 * lanes_n, snrs,
-                               ws);
-}
-
-// Block sizes spanning the MCS classes (tiny blocks to the 6144 maximum),
-// free-running and iteration-capped (degraded mode), full batches.
-TEST(TurboBatchDifferentialTest, BlockSizesAndCapsMatchScalarExactly) {
-  const double snrs[] = {4.0, -2.0, 1.0, -5.0, 7.0, 0.5, -1.5, 3.0};
-  DecodeWorkspace ws;
-  for (const std::size_t k : {40u, 104u, 512u, 2048u, 6144u}) {
-    check_batch_against_scalar(k, kTurboBatchLanes, /*lm=*/4, /*cap=*/0,
-                               /*with_crc=*/false, 1200 + k, snrs, ws);
-    check_batch_against_scalar(k, kTurboBatchLanes, /*lm=*/4, /*cap=*/2,
-                               /*with_crc=*/false, 1300 + k, snrs, ws);
-  }
-}
-
-// CRC-gated batches at every block size: per-lane early termination must
-// freeze exactly the lanes whose scalar counterparts terminate, at the
-// same iteration, while the rest keep refining.
-TEST(TurboBatchDifferentialTest, CrcGatedBlockSizesMatchScalarExactly) {
-  const double snrs[] = {8.0, -4.0, 6.0, -1.0, 4.0, 2.0, 0.0, -2.5};
-  DecodeWorkspace ws;
-  for (const std::size_t k : {104u, 512u, 6144u})
-    check_batch_against_scalar(k, kTurboBatchLanes, /*lm=*/6, /*cap=*/0,
-                               /*with_crc=*/true, 1400 + k, snrs, ws);
-}
-
 // --- SISO kernels: flat vs dispatched, LLR for LLR ------------------------
 //
 // The tests above compare hard decisions; these compare the a-posteriori
 // LLRs themselves, bit for bit (memcmp, so -0 vs +0 and NaN payloads count
 // as differences). In builds with RTOPEX_SIMD on an AVX2 target the
-// dispatched kernels are the AVX2 ones; elsewhere they are the flat kernels
-// and the comparison holds trivially.
+// dispatched kernel is the AVX2 one; elsewhere it is the flat kernel and
+// the comparison holds trivially.
 
 enum class SisoInput { kNoisy, kZeros, kTies, kLarge };
 
@@ -452,93 +353,32 @@ TEST(SisoKernelDifferentialTest, BlockKernelMatchesFlatBitForBit) {
   }
 }
 
-// Eight lanes of mixed input kinds per batch: the dispatched batch kernel
-// must match the flat batch kernel row for row, and each lane must match
-// the flat per-block kernel on that lane's streams alone.
-TEST(SisoKernelDifferentialTest, BatchKernelMatchesFlatBitForBit) {
-  constexpr std::size_t kL = kTurboBatchLanes;
-  DecodeWorkspace ws_flat, ws;
-  std::uint64_t seed = 7;
-  for (const std::size_t k : siso_block_sizes()) {
-    const std::size_t steps = k + 3;
-    std::vector<float> sys(steps * kL), par(steps * kL);
-    std::vector<std::vector<float>> lane_sys(kL), lane_par(kL);
-    for (std::size_t b = 0; b < kL; ++b) {
-      const SisoInput kind = kSisoInputs[b % std::size(kSisoInputs)];
-      lane_sys[b] = siso_stream(steps, kind, seed++);
-      lane_par[b] = siso_stream(steps, kind, seed++);
-      for (std::size_t i = 0; i < steps; ++i) {
-        sys[i * kL + b] = lane_sys[b][i];
-        par[i * kL + b] = lane_par[b][i];
-      }
-    }
-    std::vector<float> want(k * kL, kUnwritten), got(k * kL, kUnwritten);
-    detail::siso_decode_flat_batch(sys.data(), par.data(), k, ws_flat,
-                                   want.data());
-    detail::siso_decode_batch(sys.data(), par.data(), k, ws, got.data());
-    ASSERT_TRUE(llrs_identical(got.data(), want.data(), k * kL))
-        << "K=" << k;
-    for (std::size_t b = 0; b < kL; ++b) {
-      std::vector<float> lane(k, kUnwritten), lane_got(k);
-      detail::siso_decode_flat(lane_sys[b].data(), lane_par[b].data(), k,
-                               ws_flat, lane.data());
-      for (std::size_t i = 0; i < k; ++i) lane_got[i] = got[i * kL + b];
-      ASSERT_TRUE(llrs_identical(lane_got.data(), lane.data(), k))
-          << "K=" << k << " lane=" << b;
-    }
-  }
-}
-
-// Whole decodes at every LTE block size, free-running and capped at 1 and
-// 3 iterations: decode_into and decode_batch_into must agree on bits and
-// iteration counts, and their final extrinsics (the LLRs the next
-// iteration would consume) must agree bit for bit between the per-block
-// and the batch kernel paths. Every eighth size (and the largest) is also
-// checked against the reference decoder, which is slow enough to dominate
-// sanitizer runs; the other turbo differentials cover it further.
+// Whole decodes at every eighth LTE block size (and the largest),
+// free-running and capped at 1 and 3 iterations: decode_into, running the
+// dispatched per-block kernel, must reproduce the reference decoder's bits
+// and iteration counts. The reference is slow enough to dominate sanitizer
+// runs, so the sizes in between are left to the LLR memcmp above.
 TEST(SisoKernelDifferentialTest, DecodersMatchAcrossBlockSizesAndCaps) {
-  constexpr std::size_t kL = kTurboBatchLanes;
   const auto& sizes = QppInterleaver::valid_block_sizes();
   DecodeWorkspace ws;
   for (std::size_t si = 0; si < sizes.size(); ++si) {
+    if (si % 8 != 0 && si + 1 != sizes.size()) continue;
     const std::size_t k = sizes[si];
-    const bool with_reference = si % 8 == 0 || si + 1 == sizes.size();
     const QppInterleaver qpp(k);
     const TurboEncoder enc(qpp);
     const TurboDecoder dec(qpp, 4);
-    std::vector<LlrVector> sys(2), p1(2), p2(2);
-    std::vector<TurboBatchLane> lanes(2);
-    for (std::size_t b = 0; b < 2; ++b) {
-      Rng rng(3000 + 2 * k + b);
-      const auto cw = enc.encode(random_bits(k, 5000 + 2 * k + b));
-      sys[b] = noisy_llrs(cw.systematic, b == 0 ? -1.0 : 0.5, rng);
-      p1[b] = noisy_llrs(cw.parity1, b == 0 ? -1.0 : 0.5, rng);
-      p2[b] = noisy_llrs(cw.parity2, b == 0 ? -1.0 : 0.5, rng);
-      lanes[b] = {sys[b], p1[b], p2[b]};
-    }
+    Rng rng(3000 + 2 * k);
+    const auto cw = enc.encode(random_bits(k, 5000 + 2 * k));
+    const LlrVector sys = noisy_llrs(cw.systematic, -1.0, rng);
+    const LlrVector p1 = noisy_llrs(cw.parity1, -1.0, rng);
+    const LlrVector p2 = noisy_llrs(cw.parity2, -1.0, rng);
     for (const unsigned cap : {0u, 1u, 3u}) {
-      dec.decode_into(sys[0], p1[0], p2[0], ws, {}, cap);
+      dec.decode_into(sys, p1, p2, ws, {}, cap);
       const BitVector bits(ws.bits.begin(),
                            ws.bits.begin() + static_cast<std::ptrdiff_t>(k));
-      const unsigned iterations = ws.iterations;
-      const std::vector<float> ext(ws.extrinsic2.begin(),
-                                   ws.extrinsic2.begin() +
-                                       static_cast<std::ptrdiff_t>(k));
-      if (with_reference) {
-        const auto ref = dec.decode_reference(sys[0], p1[0], p2[0], {}, cap);
-        ASSERT_EQ(bits, ref.bits) << "K=" << k << " cap=" << cap;
-        ASSERT_EQ(iterations, ref.iterations) << "K=" << k << " cap=" << cap;
-      }
-
-      dec.decode_batch_into(lanes, ws, {}, cap);
-      ASSERT_TRUE(std::equal(bits.begin(), bits.end(), ws.bat_bits.begin()))
-          << "K=" << k << " cap=" << cap;
-      ASSERT_EQ(ws.bat_iterations[0], iterations)
-          << "K=" << k << " cap=" << cap;
-      std::vector<float> bat_ext(k);
-      for (std::size_t i = 0; i < k; ++i) bat_ext[i] = ws.bat_ext2[i * kL];
-      ASSERT_TRUE(llrs_identical(bat_ext.data(), ext.data(), k))
-          << "K=" << k << " cap=" << cap;
+      const auto ref = dec.decode_reference(sys, p1, p2, {}, cap);
+      ASSERT_EQ(bits, ref.bits) << "K=" << k << " cap=" << cap;
+      ASSERT_EQ(ws.iterations, ref.iterations) << "K=" << k << " cap=" << cap;
     }
   }
 }

@@ -105,17 +105,15 @@ TEST(ZeroAllocTest, TurboDecodeIntoIsAllocationFreeWhenWarm) {
   EXPECT_EQ(ws.iterations, warm);  // deterministic reuse.
 }
 
-// Both SISO paths keep all their scratch (the AVX2 kernels' two-row branch
+// The SISO keeps all its scratch (the AVX2 kernel's two-row branch
 // metrics and kept beta gathers included) in grow-only workspace fields:
 // once a workspace has decoded the largest block, switching block sizes
-// down and back up through decode_into and decode_batch_into must never
-// touch the heap.
+// down and back up through decode_into must never touch the heap.
 TEST(ZeroAllocTest, TurboDecodesAcrossBlockSizesAreAllocationFreeWhenWarm) {
   struct Block {
     std::unique_ptr<QppInterleaver> qpp;
     std::unique_ptr<TurboDecoder> dec;
-    std::vector<LlrVector> sys, p1, p2;
-    std::vector<TurboBatchLane> lanes;
+    LlrVector sys, p1, p2;
   };
   const auto make_block = [](std::size_t k) {
     Block blk;
@@ -123,29 +121,24 @@ TEST(ZeroAllocTest, TurboDecodesAcrossBlockSizesAreAllocationFreeWhenWarm) {
     blk.dec = std::make_unique<TurboDecoder>(*blk.qpp, 4);
     const TurboEncoder enc(*blk.qpp);
     Rng rng(40 + k);
-    for (std::size_t b = 0; b < kTurboBatchLanes; ++b) {
-      BitVector bits(k);
-      for (auto& x : bits) x = static_cast<std::uint8_t>(rng.next() & 1);
-      const auto cw = enc.encode(bits);
-      const auto noisy = [&](const BitVector& s) {
-        LlrVector v(s.size());
-        for (std::size_t i = 0; i < s.size(); ++i)
-          v[i] = static_cast<float>((s[i] ? -1.0 : 1.0) + rng.normal(0.0, 0.8));
-        return v;
-      };
-      blk.sys.push_back(noisy(cw.systematic));
-      blk.p1.push_back(noisy(cw.parity1));
-      blk.p2.push_back(noisy(cw.parity2));
-    }
-    for (std::size_t b = 0; b < kTurboBatchLanes; ++b)
-      blk.lanes.push_back({blk.sys[b], blk.p1[b], blk.p2[b]});
+    BitVector bits(k);
+    for (auto& x : bits) x = static_cast<std::uint8_t>(rng.next() & 1);
+    const auto cw = enc.encode(bits);
+    const auto noisy = [&](const BitVector& s) {
+      LlrVector v(s.size());
+      for (std::size_t i = 0; i < s.size(); ++i)
+        v[i] = static_cast<float>((s[i] ? -1.0 : 1.0) + rng.normal(0.0, 0.8));
+      return v;
+    };
+    blk.sys = noisy(cw.systematic);
+    blk.p1 = noisy(cw.parity1);
+    blk.p2 = noisy(cw.parity2);
     return blk;
   };
   const Block big = make_block(6144);
   const Block small = make_block(40);
   const auto decode = [](const Block& blk, DecodeWorkspace& ws) {
-    blk.dec->decode_into(blk.sys[0], blk.p1[0], blk.p2[0], ws);
-    blk.dec->decode_batch_into(blk.lanes, ws);
+    blk.dec->decode_into(blk.sys, blk.p1, blk.p2, ws);
   };
 
   DecodeWorkspace ws;
@@ -247,11 +240,10 @@ TEST(ZeroAllocTest, ThreadWorkspaceOverloadsAreAllocationFreeWhenWarm) {
   EXPECT_EQ(result.payload, sf.payload);
 }
 
-// The throughput-mode batched path as a batched NodeRuntime worker drives
-// it: two persistent workers, each draining two subframes per pass (begin /
-// FFT / demod / decode_prepare per job, then one cross-subframe
-// run_decode_batch over both jobs) out of a pre-warmed WorkspacePool
-// workspace. Thread spawning, pool construction/pre-warm and the first
+// Both run_decode_batch forms out of a pre-warmed WorkspacePool
+// workspace: the single-job form pre-warms the pool, then two persistent
+// workers each take two subframes per pass (begin / FFT / demod /
+// decode_prepare per job, then the multi-job form over both jobs). Thread spawning, pool construction/pre-warm and the first
 // (growth) lap are setup; every later pass must leave the heap untouched on
 // both threads — the counting operator new is global, so worker-thread
 // allocations count too.
@@ -276,8 +268,7 @@ TEST(ZeroAllocTest, BatchedDecodeAcrossWorkersIsAllocationFreeWhenWarm) {
   }
 
   // Pool pre-warm (setup): a full dummy-subframe decode grows the
-  // single-subframe buffers; the first worker lap below grows the
-  // cross-subframe batch scratch to its two-job size.
+  // workspace's buffers; the first worker lap below is setup too.
   const rt::NumaTopology topo = rt::detect_numa_topology();
   const auto prewarm = [&](DecodeWorkspace& ws) {
     auto job = rx.make_job();
@@ -358,7 +349,7 @@ TEST(ZeroAllocTest, BatchedDecodeAcrossWorkersIsAllocationFreeWhenWarm) {
     cv.wait(lk, [&] { return done == static_cast<int>(kWorkers); });
   };
 
-  run_all();  // warm lap: batch scratch reaches its two-job high-water mark.
+  run_all();  // warm lap: every buffer reaches its high-water mark.
   ASSERT_EQ(crc_failures.load(), 0u) << "noiseless warm-up lap failed CRC";
 
   const std::size_t allocs = count_allocations([&] {

@@ -5,6 +5,8 @@
 // period is stretched far beyond real time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 
 #include "runtime/node_runtime.hpp"
@@ -112,9 +114,9 @@ TEST(NodeRuntimeTest, EnforcementOffOnlyRecordsMisses) {
 TEST(NodeRuntimeTest, ThroughputBatchedDecodesEverything) {
   // Saturating arrival (period far below this host's decode time, even
   // with the AVX2 decode kernels) with enforcement off: jobs queue up, so
-  // batched workers drain several per pass and fuse their code blocks into
-  // cross-subframe SoA batches. The conservation/CRC contract must hold
-  // exactly as in latency mode.
+  // batched workers take several per queue pass. The conservation/CRC
+  // contract must hold exactly as in latency mode, and each worker must
+  // run every subframe it takes to completion before starting the next.
   for (const auto mode : {RuntimeMode::kGlobal, RuntimeMode::kPartitioned}) {
     auto cfg = small_config(mode);
     cfg.subframe_period = microseconds(50);
@@ -124,16 +126,41 @@ TEST(NodeRuntimeTest, ThroughputBatchedDecodesEverything) {
     cfg.subframes_per_bs = 6;
     cfg.throughput.batch = 8;
     cfg.throughput.numa_pools = true;
+    cfg.trace.enabled = true;  // kSubframeBegin names each record's worker
     NodeRuntime runtime(cfg);
     const auto report = runtime.run();
     check_complete(report, cfg);
-    // Every record that claims batching is accounted; with arrivals this
-    // far ahead of service, at least some passes must have fused >= 2
-    // subframes (the queues are necessarily non-empty after the first
-    // decode completes).
+    // With arrivals this far ahead of service, at least some passes must
+    // take >= 2 subframes (the queues are necessarily non-empty after the
+    // first decode completes).
     EXPECT_GT(report.batched_subframes, 0u)
         << "mode " << static_cast<int>(mode);
     EXPECT_LE(report.batched_subframes, report.records.size());
+
+    ASSERT_EQ(report.trace.total_drops(), 0u);
+    std::map<std::pair<unsigned, std::uint32_t>, std::uint32_t> worker_of;
+    for (const auto& e : report.trace.events)
+      if (e.kind == obs::EventKind::kSubframeBegin)
+        worker_of[{e.bs, e.index}] = e.core;
+    std::map<std::uint32_t, std::vector<SubframeRecord>> by_worker;
+    for (const auto& r : report.records) {
+      const auto it = worker_of.find({r.bs, r.index});
+      ASSERT_NE(it, worker_of.end()) << "bs=" << r.bs << " idx=" << r.index;
+      by_worker[it->second].push_back(r);
+      EXPECT_LE(r.timing.fft + r.timing.demod + r.timing.decode,
+                r.completion - r.start)
+          << "bs=" << r.bs << " idx=" << r.index;
+    }
+    for (auto& [worker, recs] : by_worker) {
+      std::sort(recs.begin(), recs.end(),
+                [](const auto& x, const auto& y) { return x.start < y.start; });
+      for (std::size_t i = 1; i < recs.size(); ++i)
+        EXPECT_GE(recs[i].start, recs[i - 1].completion)
+            << "mode " << static_cast<int>(mode) << " worker " << worker
+            << ": bs=" << recs[i].bs << " idx=" << recs[i].index
+            << " started before bs=" << recs[i - 1].bs
+            << " idx=" << recs[i - 1].index << " completed";
+    }
   }
 }
 
@@ -155,12 +182,12 @@ TEST(NodeRuntimeTest, RejectsBadThroughputConfig) {
   auto cfg = small_config(RuntimeMode::kGlobal);
   cfg.throughput.batch = 0;
   EXPECT_THROW(NodeRuntime{cfg}, std::invalid_argument);
-  // Above the cross-subframe decoder's hard cap.
+  // Above the per-pass hard cap.
   cfg = small_config(RuntimeMode::kGlobal);
   cfg.throughput.batch = 17;
   EXPECT_THROW(NodeRuntime{cfg}, std::invalid_argument);
-  // RT-OPEX migrates decode per-subtask — the granularity batching fuses
-  // away — so batching is rejected there rather than silently ignored.
+  // The RT-OPEX worker takes one subframe per mailbox poll, so batching is
+  // rejected there rather than silently ignored.
   cfg = small_config(RuntimeMode::kRtOpex);
   cfg.throughput.batch = 2;
   EXPECT_THROW(NodeRuntime{cfg}, std::invalid_argument);
