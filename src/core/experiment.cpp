@@ -38,6 +38,7 @@ std::vector<sim::SubframeWork> make_workload(const ExperimentConfig& config) {
 
 ExperimentResult run_scheduler(const ExperimentConfig& config,
                                std::span<const sim::SubframeWork> work) {
+  config.degrade.validate(config.workload.max_iterations);
   // Sync the Eq. (1) regressor context from the workload so callers only
   // flip adaptive.enabled.
   sched::AdaptiveConfig adaptive = config.adaptive;

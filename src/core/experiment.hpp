@@ -35,7 +35,8 @@ struct ExperimentConfig {
 
   /// Graceful degradation, applied to whichever scheduler runs (fronthaul
   /// faults live in `workload.fronthaul_faults` — they are a property of
-  /// the generated arrivals, not of the scheduler).
+  /// the generated arrivals, not of the scheduler). run_scheduler rejects
+  /// an enabled config whose min_iterations is outside [1, Lm).
   sched::DegradeConfig degrade;
 
   /// Online adaptive estimation, applied to whichever scheduler runs. The

@@ -192,7 +192,13 @@ class OnlineEstimators {
   unsigned predict_iterations(unsigned bs) const;
   /// Decode-stage estimate at the predicted iteration count for `bs`, or
   /// `fallback` until the fit warms up.
-  Duration predict_decode(unsigned bs, unsigned mcs, Duration fallback) const;
+  Duration predict_decode(unsigned bs, unsigned mcs, Duration fallback) const {
+    return predict_decode_at(mcs, predict_iterations(bs), fallback);
+  }
+  /// Decode-stage estimate at `iterations` turbo iterations, or `fallback`
+  /// until the fit warms up.
+  Duration predict_decode_at(unsigned mcs, unsigned iterations,
+                             Duration fallback) const;
   /// Learned per-code-block decode time (adaptive migration chunk size).
   Duration decode_subtask_or(Duration fallback) const {
     return decode_subtask_.value_or(fallback);

@@ -194,7 +194,7 @@ class Profiler {
 };
 
 /// RAII convenience over Profiler::begin/end for bench and example code
-/// (the runtime calls begin/end explicitly across its stage sections).
+/// (the runtime pairs its spans with stage events in one StageScope).
 class ProfileSpan {
  public:
   ProfileSpan(Profiler* profiler, unsigned track, const char* name,

@@ -72,6 +72,11 @@ enum class EventKind : std::uint8_t {
 //    the decode stage `b` is the turbo-iteration count that estimate
 //    assumed (Lm under WCET admission, 1 under optimistic, the cap when
 //    degraded).
+//  * kDrop carries the decision a slack check (sched::admit) made: `a` = the
+//    estimate that did not fit and `b` = the slack it had, both in ns from
+//    the decision time and clamped like kStageBegin, so a > b. The runtime's
+//    one check precedes the FFT, so its `a` includes the FFT and demod
+//    estimates.
 //  * kSubframeEnd carries `a` = 1 on a deadline miss and `b` = the turbo
 //    iterations actually executed (0 when the decode never ran).
 //  * kAlert / kAlertClear are emitted by the health engine (obs/health), not

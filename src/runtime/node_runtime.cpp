@@ -110,15 +110,31 @@ struct NodeRuntime::Impl {
   };
   std::unique_ptr<AdaptiveState> adaptive;
 
-  Duration adaptive_fft_subtask(Duration fallback) {
-    if (!adaptive) return fallback;
+  /// One subframe's planning estimates, read once (taking the adaptive
+  /// mutex at most once) when it starts. They feed its admission, its
+  /// kStageBegin payloads, its migration chunk sizes and its workload
+  /// capture, so all four see the same numbers.
+  struct Estimates {
+    Duration fft_subtask, demod, decode_subtask;
+    /// Whole decode stage: per-subtask time x code blocks, or (adaptive)
+    /// the Eq. (1) fit at `iterations` once it warms up.
+    Duration decode_full;
+    unsigned iterations;  ///< turbo iterations decode_full assumes.
+  };
+  Estimates estimates(unsigned bs, unsigned mcs, std::size_t dec_n) {
+    Estimates e{fft_subtask_est_ns.load(), demod_est_ns.load(),
+                decode_subtask_est_ns.load(), 0, config.phy.max_iterations};
+    if (!adaptive) {
+      e.decode_full = e.decode_subtask * static_cast<Duration>(dec_n);
+      return e;
+    }
     std::lock_guard lock(adaptive->mu);
-    return adaptive->est.fft_subtask_or(fallback);
-  }
-  Duration adaptive_decode_subtask(Duration fallback) {
-    if (!adaptive) return fallback;
-    std::lock_guard lock(adaptive->mu);
-    return adaptive->est.decode_subtask_or(fallback);
+    e.fft_subtask = adaptive->est.fft_subtask_or(e.fft_subtask);
+    e.decode_subtask = adaptive->est.decode_subtask_or(e.decode_subtask);
+    e.iterations = adaptive->est.predict_iterations(bs);
+    e.decode_full = adaptive->est.predict_decode(
+        bs, mcs, e.decode_subtask * static_cast<Duration>(dec_n));
+    return e;
   }
 
   std::atomic<std::size_t> migrations{0};
@@ -294,10 +310,6 @@ struct NodeRuntime::Impl {
     rx->finalize_into(job, ws, result);
   }
 
-  unsigned partitioned_worker(unsigned bs, std::uint32_t index) const {
-    return bs * config.cores_per_bs + index % config.cores_per_bs;
-  }
-
   // ---- worker side ----------------------------------------------------
 
   void update_estimate(std::atomic<std::int64_t>& est, Duration sample) {
@@ -308,25 +320,21 @@ struct NodeRuntime::Impl {
 
   /// Workload capture: emits one kJobSpec record per field onto `track`
   /// (the emitter's own SPSC track) so the drained trace is replayable by
-  /// obs/analysis/replay. Costs carry the measured stage times when the
-  /// subframe was actually processed; for dropped/late/lost subframes —
-  /// never decoded, so never measured — the planning estimates in force
-  /// stand in, which keeps a counterfactual replay able to schedule them.
+  /// obs/analysis/replay. The kWcet* fields are the estimates `e` its
+  /// admission used; they also stand in for the costs of a subframe that
+  /// was never measured (dropped/late/lost), so a replay can schedule it.
   void emit_job_spec(std::uint32_t track, const Job& j, unsigned mcs,
                      const SubframeRecord& rec, std::size_t fft_n,
-                     std::size_t dec_n) {
+                     std::size_t dec_n, const Estimates& e) {
     if (!tracer) return;
     using Field = obs::analysis::JobSpecField;
     const unsigned lm = std::max(1u, config.phy.max_iterations);
-    const Duration fft_sub = fft_subtask_est_ns.load();
-    const Duration dec_sub = decode_subtask_est_ns.load();
+    const Duration fft_est = e.fft_subtask * static_cast<Duration>(fft_n);
     const bool measured =
         !rec.lost && !rec.late_arrival && !rec.dropped && rec.timing.decode > 0;
-    const Duration fft =
-        measured ? rec.timing.fft : fft_sub * static_cast<Duration>(fft_n);
-    const Duration demod = measured ? rec.timing.demod : demod_est_ns.load();
-    const Duration decode =
-        measured ? rec.timing.decode : dec_sub * static_cast<Duration>(dec_n);
+    const Duration fft = measured ? rec.timing.fft : fft_est;
+    const Duration demod = measured ? rec.timing.demod : e.demod;
+    const Duration decode = measured ? rec.timing.decode : e.decode_full;
     const unsigned iters = measured ? std::max(1u, rec.iterations) : lm;
     auto put = [&](Field field, std::uint32_t value) {
       RTOPEX_TRACE_EVENT(trc(), .ts = j.radio_time, .bs = j.bs,
@@ -348,19 +356,15 @@ struct NodeRuntime::Impl {
     put(Field::kDecodeNs, obs::clamp_payload_ns(decode));
     put(Field::kFftSubtasks, static_cast<std::uint32_t>(fft_n));
     put(Field::kFftSubtaskNs,
-        obs::clamp_payload_ns(fft / static_cast<Duration>(std::max<std::size_t>(
-                                        1, fft_n))));
+        obs::clamp_payload_ns(fft / static_cast<Duration>(fft_n)));
     put(Field::kDecodeSubtasks, static_cast<std::uint32_t>(dec_n));
     put(Field::kDecodeSubtaskNs,
-        obs::clamp_payload_ns(
-            decode / static_cast<Duration>(std::max<std::size_t>(1, dec_n))));
-    put(Field::kWcetFftNs,
-        obs::clamp_payload_ns(fft_sub * static_cast<Duration>(fft_n)));
-    put(Field::kWcetDemodNs, obs::clamp_payload_ns(demod_est_ns.load()));
-    put(Field::kWcetDecodeNs,
-        obs::clamp_payload_ns(dec_sub * static_cast<Duration>(dec_n)));
-    put(Field::kWcetFftSubtaskNs, obs::clamp_payload_ns(fft_sub));
-    put(Field::kWcetDecodeSubtaskNs, obs::clamp_payload_ns(dec_sub));
+        obs::clamp_payload_ns(decode / static_cast<Duration>(dec_n)));
+    put(Field::kWcetFftNs, obs::clamp_payload_ns(fft_est));
+    put(Field::kWcetDemodNs, obs::clamp_payload_ns(e.demod));
+    put(Field::kWcetDecodeNs, obs::clamp_payload_ns(e.decode_full));
+    put(Field::kWcetFftSubtaskNs, obs::clamp_payload_ns(e.fft_subtask));
+    put(Field::kWcetDecodeSubtaskNs, obs::clamp_payload_ns(e.decode_subtask));
     put(Field::kDecodeOptimisticNs,
         obs::clamp_payload_ns(decode / static_cast<Duration>(iters)));
   }
@@ -373,10 +377,7 @@ struct NodeRuntime::Impl {
     const obs::Stage stage = is_fft ? obs::Stage::kFft : obs::Stage::kDecode;
     unsigned recovered_here = 0;
     auto run_subtask = [&](std::size_t i) {
-      if (is_fft)
-        rx->run_fft_subtask(job, i);
-      else
-        rx->run_decode_subtask(job, i);
+      is_fft ? rx->run_fft_subtask(job, i) : rx->run_decode_subtask(job, i);
     };
 
     // Plan from the CPU-state table snapshots.
@@ -392,12 +393,7 @@ struct NodeRuntime::Impl {
         h->plan_window(self_id, k, window);
       if (window > 0) cands.push_back({k, window});
     }
-    std::sort(cands.begin(), cands.end(),
-              [](const auto& a, const auto& b) {
-                if (a.free_window != b.free_window)
-                  return a.free_window > b.free_window;
-                return a.core < b.core;
-              });
+    sched::sort_by_window(cands);
     const sched::MigrationPlan plan = sched::plan_migration(
         static_cast<unsigned>(subtasks), std::max<Duration>(tp_estimate, 1),
         migration_cost, cands);
@@ -532,30 +528,71 @@ struct NodeRuntime::Impl {
                        .kind = obs::EventKind::kRecovery, .stage = stage);
   }
 
-  /// Closes a subframe that never reaches the FFT: a late arrival (kLate)
-  /// or a slack-check drop (kDrop). `why` and its payload are traced right
-  /// after the completion stamp, then the kSubframeEnd, the workload
-  /// capture and the subframe's profiler span, in that order.
-  SubframeRecord end_early(unsigned self_id, const Job& j, SubframeRecord& rec,
-                           obs::EventKind why, std::uint32_t a,
-                           std::uint32_t b, std::size_t fft_n,
-                           std::size_t dec_n_est,
-                           obs::profile::Profiler::SpanToken sf_span) {
-    rec.completion = clock.now();
-    rec.deadline_missed = true;
-    if (why == obs::EventKind::kLate)
-      rec.late_arrival = true;
-    else
-      rec.dropped = true;
-    RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index, .a = a, .b = b,
-                     .core = self_id, .kind = why);
-    RTOPEX_TRACE_EVENT(trc(), .ts = rec.completion, .bs = j.bs,
-                       .index = j.index, .a = 1, .core = self_id,
-                       .kind = obs::EventKind::kSubframeEnd);
-    emit_job_spec(self_id, j, j.variant->mcs, rec, fft_n, dec_n_est);
-    if (obs::profile::Profiler* const pr = prof()) pr->end(self_id, sf_span);
-    return rec;
-  }
+  /// One stage boundary, instrumented once. Opening stamps the begin event
+  /// and opens the profiler span; close() ends the span with the payload
+  /// set by payload(), reads the clock once, charges the time since opening
+  /// to `timing` and stamps the end event with that same reading. A
+  /// worker's own stage (`timing` set) opens kStageBegin (a = the planning
+  /// estimate, b = the iterations it assumes) and closes kStageEnd. A
+  /// hosted chunk (`timing` null) opens kHostBegin (a = source core) with
+  /// its stage span inside a "host" frame span, and closes kHostEnd; its
+  /// payload (source core, subtasks served) goes on kHostEnd and the frame.
+  class StageScope {
+   public:
+    StageScope(Impl& im, std::uint32_t track, std::uint32_t bs,
+               std::uint32_t index, obs::Stage stage, Duration* timing,
+               std::uint32_t a, std::uint32_t b = 0)
+        : im_(im), track_(track), bs_(bs), index_(index),
+          a_(timing ? 0 : a), stage_(stage), timing_(timing),
+          t0_(im.clock.now()) {
+      RTOPEX_TRACE_EVENT(im.trc(), .ts = t0_, .bs = bs, .index = index,
+                         .a = a, .b = b, .core = track,
+                         .kind = timing ? obs::EventKind::kStageBegin
+                                        : obs::EventKind::kHostBegin,
+                         .stage = stage);
+      if (obs::profile::Profiler* const pr = im.prof()) {
+        if (!timing) frame_ = pr->begin(track, "host", obs::Stage::kNone, bs,
+                                        index);
+        span_ = pr->begin(track, obs::to_string(stage), stage, bs, index);
+      }
+    }
+    ~StageScope() { close(); }
+    StageScope(const StageScope&) = delete;
+    StageScope& operator=(const StageScope&) = delete;
+
+    void payload(std::uint32_t a, std::uint32_t b) {
+      a_ = a;
+      b_ = b;
+    }
+
+    /// Ends the stage once; returns its end time.
+    TimePoint close() {
+      if (closed_) return t1_;
+      closed_ = true;
+      if (obs::profile::Profiler* const pr = im_.prof()) {
+        pr->end(track_, span_, timing_ ? a_ : 0, timing_ ? b_ : 0);
+        if (!timing_) pr->end(track_, frame_, a_, b_);
+      }
+      t1_ = im_.clock.now();
+      if (timing_) *timing_ = t1_ - t0_;
+      RTOPEX_TRACE_EVENT(im_.trc(), .ts = t1_, .bs = bs_, .index = index_,
+                         .a = timing_ ? 0 : a_, .b = timing_ ? 0 : b_,
+                         .core = track_,
+                         .kind = timing_ ? obs::EventKind::kStageEnd
+                                         : obs::EventKind::kHostEnd,
+                         .stage = stage_);
+      return t1_;
+    }
+
+   private:
+    Impl& im_;
+    std::uint32_t track_, bs_, index_, a_, b_ = 0;
+    obs::Stage stage_;
+    Duration* timing_;
+    TimePoint t0_, t1_ = 0;
+    bool closed_ = false;
+    obs::profile::Profiler::SpanToken frame_, span_;
+  };
 
   /// One subframe end to end: arrival wait, classification, slack check,
   /// then the FFT, demod and decode stages and finalize. `job` and
@@ -588,182 +625,123 @@ struct NodeRuntime::Impl {
     RTOPEX_TRACE_EVENT(trc(), .ts = rec.start, .bs = j.bs, .index = j.index,
                        .core = self_id,
                        .kind = obs::EventKind::kSubframeBegin);
-    obs::profile::Profiler* const pr = prof();
-    obs::profile::Profiler::SpanToken sf_span;
-    if (pr)
-      sf_span = pr->begin(self_id, "subframe", obs::Stage::kNone, j.bs,
-                          j.index);
-
+    const obs::profile::ProfileSpan sf_span(prof(), self_id, "subframe",
+                                            obs::Stage::kNone, j.bs, j.index);
     const std::size_t fft_n = rx->fft_subtask_count();
     const std::size_t dec_n_est = phy::num_code_blocks(
         j.variant->mcs, config.phy.num_prb());
+    const Estimates est = estimates(j.bs, j.variant->mcs, dec_n_est);
+
+    // Every exit ends the same way: kSubframeEnd, the workload capture,
+    // then (on scope exit) the subframe's profiler span.
+    auto finish = [&](std::size_t dec_n) {
+      RTOPEX_TRACE_EVENT(trc(), .ts = rec.completion, .bs = j.bs,
+                         .index = j.index, .a = rec.deadline_missed ? 1u : 0u,
+                         .b = rec.iterations, .core = self_id,
+                         .kind = obs::EventKind::kSubframeEnd);
+      emit_job_spec(self_id, j, j.variant->mcs, rec, fft_n, dec_n, est);
+      return rec;
+    };
+    // A subframe that never reaches the FFT: a late arrival (kLate) or a
+    // slack-check drop (kDrop), traced right after its completion stamp.
+    auto end_early = [&](obs::EventKind why, std::uint32_t a,
+                         std::uint32_t b) {
+      rec.completion = clock.now();
+      rec.deadline_missed = true;
+      (why == obs::EventKind::kLate ? rec.late_arrival : rec.dropped) = true;
+      RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index, .a = a, .b = b,
+                       .core = self_id, .kind = why);
+      return finish(dec_n_est);
+    };
 
     // A subframe that arrived after its deadline had already passed (a late
     // fronthaul delivery) is classified and skipped regardless of
     // enforce_deadlines — there is no decision to make, the deadline is
     // gone, and decoding it would only stall the queue behind it.
     if (j.arrival > j.deadline)
-      return end_early(self_id, j, rec, obs::EventKind::kLate,
+      return end_early(obs::EventKind::kLate,
                        obs::clamp_payload_ns(j.arrival - j.deadline),
-                       obs::clamp_payload_ns(j.arrival - j.radio_time), fft_n,
-                       dec_n_est, sf_span);
+                       obs::clamp_payload_ns(j.arrival - j.radio_time));
 
     rx->begin(job, j.variant->antenna_samples, j.variant->mcs,
               j.variant->tx_subframe_index);
 
-    // Slack check (paper §4.1): drop the subframe when the estimated
-    // execution time exceeds the time left before its deadline. With
-    // degradation enabled, first retry the estimate with the
-    // turbo-iteration cap shrunk below Lm — trading decode quality for
-    // deadline compliance — and only drop when even the minimal-quality
-    // estimate cannot fit. With adaptive estimation on, the learned
-    // MCS-aware Eq. (1) fit and per-BS iteration predictors replace the
-    // single global EWMA products (falling back to them until warmed up).
+    // Slack check (paper §4.1), the same sched::admit the sim runs: the
+    // FFT and demod estimates are charged up front, then the decode
+    // estimate must fit the slack left. With degradation on, a cap of L
+    // costs L / Lm of it (the EWMA tracks full-quality decodes). The drop
+    // carries the whole estimate (a) and the slack it had (b).
+    Duration decode_est = est.decode_full;
+    unsigned decode_iters = est.iterations;
     if (config.enforce_deadlines) {
-      Duration fft_sub = fft_subtask_est_ns.load();
-      Duration decode_full =
-          decode_subtask_est_ns.load() * static_cast<Duration>(dec_n_est);
-      if (adaptive) {
-        std::lock_guard lock(adaptive->mu);
-        fft_sub = adaptive->est.fft_subtask_or(fft_sub);
-        decode_full =
-            adaptive->est.predict_decode(j.bs, j.variant->mcs, decode_full);
-      }
+      const TimePoint now = clock.now();
       const Duration base =
-          fft_sub * static_cast<Duration>(fft_n) + demod_est_ns.load();
-      if (clock.now() + base + decode_full > j.deadline) {
-        bool admitted = false;
-        const unsigned lm = config.phy.max_iterations;
-        if (config.resilience.enable_degradation && lm > 1) {
-          const unsigned lmin =
-              std::min(config.resilience.min_turbo_iterations, lm);
-          // Decode cost is ~linear in the iteration count (Eq. (1)); the
-          // EWMA estimate tracks full-quality (Lm) decodes, so a cap of L
-          // scales it by L / Lm.
-          for (unsigned cap = lm - 1; cap >= lmin; --cap) {
-            const Duration est =
-                base + decode_full * static_cast<Duration>(cap) /
-                           static_cast<Duration>(lm);
-            if (clock.now() + est <= j.deadline) {
-              job.iteration_cap = cap;
-              rec.degrade = cap <= lmin ? DegradeLevel::kMinimalIterations
-                                        : DegradeLevel::kReducedIterations;
-              RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index, .a = cap,
-                               .core = self_id,
-                               .kind = obs::EventKind::kDegrade,
-                               .stage = obs::Stage::kDecode);
-              admitted = true;
-              break;
-            }
-            if (cap == lmin) break;
-          }
-        }
-        if (!admitted)
-          return end_early(self_id, j, rec, obs::EventKind::kDrop, 0, 0,
-                           fft_n, dec_n_est, sf_span);
+          est.fft_subtask * static_cast<Duration>(fft_n) + est.demod;
+      const sched::Admission verdict = sched::admit(
+          now + base, j.deadline, est.decode_full,
+          sched::DecodeLine::proportional(est.decode_full,
+                                          config.phy.max_iterations),
+          config.resilience.degrade);
+      if (!verdict.admit)
+        return end_early(obs::EventKind::kDrop,
+                         obs::clamp_payload_ns(base + verdict.estimate),
+                         obs::clamp_payload_ns(j.deadline - now));
+      if (verdict.cap > 0) {
+        job.iteration_cap = decode_iters = verdict.cap;
+        decode_est = verdict.estimate;
+        rec.degrade = verdict.level;
+        RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index,
+                         .a = verdict.cap, .core = self_id,
+                         .kind = obs::EventKind::kDegrade,
+                         .stage = obs::Stage::kDecode);
       }
     }
 
-    // --- FFT ---
-    const Duration fft_sub_est =
-        adaptive_fft_subtask(fft_subtask_est_ns.load());
-    TimePoint t0 = clock.now();
-    RTOPEX_TRACE_EVENT(trc(), .ts = t0, .bs = j.bs, .index = j.index,
-                       .a = obs::clamp_payload_ns(
-                           fft_sub_est * static_cast<Duration>(fft_n)),
-                       .core = self_id, .kind = obs::EventKind::kStageBegin,
-                       .stage = obs::Stage::kFft);
-    obs::profile::Profiler::SpanToken fft_span;
-    if (pr)
-      fft_span = pr->begin(self_id, "fft", obs::Stage::kFft, j.bs, j.index);
-    if (migrate) {
-      run_stage_migrating(self_id, job, j, fft_n, fft_sub_est,
-                          /*is_fft=*/true, rec.timing);
-    } else {
-      for (std::size_t i = 0; i < fft_n; ++i) rx->run_fft_subtask(job, i, ws);
+    {
+      StageScope fft(*this, self_id, j.bs, j.index, obs::Stage::kFft,
+                     &rec.timing.fft,
+                     obs::clamp_payload_ns(
+                         est.fft_subtask * static_cast<Duration>(fft_n)));
+      fft.payload(static_cast<std::uint32_t>(fft_n), 0);
+      if (migrate) {
+        run_stage_migrating(self_id, job, j, fft_n, est.fft_subtask,
+                            /*is_fft=*/true, rec.timing);
+      } else {
+        for (std::size_t i = 0; i < fft_n; ++i)
+          rx->run_fft_subtask(job, i, ws);
+      }
     }
-    if (pr) pr->end(self_id, fft_span, static_cast<std::uint32_t>(fft_n), 0);
-    TimePoint t1 = clock.now();
-    rec.timing.fft = t1 - t0;
-    RTOPEX_TRACE_EVENT(trc(), .ts = t1, .bs = j.bs, .index = j.index,
-                       .core = self_id, .kind = obs::EventKind::kStageEnd,
-                       .stage = obs::Stage::kFft);
     update_estimate(fft_subtask_est_ns,
                     rec.timing.fft / static_cast<Duration>(fft_n));
 
-    // --- Demod ---
-    obs::profile::Profiler::SpanToken demod_span;
-    if (pr)
-      demod_span =
-          pr->begin(self_id, "demod", obs::Stage::kDemod, j.bs, j.index);
-    rx->demod_prepare(job);
-    for (std::size_t i = 0; i < rx->demod_subtask_count(); ++i)
-      rx->run_demod_subtask(job, i);
-    if (pr) pr->end(self_id, demod_span);
-    TimePoint t2 = clock.now();
-    rec.timing.demod = t2 - t1;
-    RTOPEX_TRACE_EVENT(trc(), .ts = t1, .bs = j.bs, .index = j.index,
-                       .a = obs::clamp_payload_ns(demod_est_ns.load()),
-                       .core = self_id, .kind = obs::EventKind::kStageBegin,
-                       .stage = obs::Stage::kDemod);
-    RTOPEX_TRACE_EVENT(trc(), .ts = t2, .bs = j.bs, .index = j.index,
-                       .core = self_id, .kind = obs::EventKind::kStageEnd,
-                       .stage = obs::Stage::kDemod);
+    {
+      StageScope demod(*this, self_id, j.bs, j.index, obs::Stage::kDemod,
+                       &rec.timing.demod, obs::clamp_payload_ns(est.demod));
+      rx->demod_prepare(job);
+      for (std::size_t i = 0; i < rx->demod_subtask_count(); ++i)
+        rx->run_demod_subtask(job, i);
+    }
     update_estimate(demod_est_ns, rec.timing.demod);
 
-    // --- Decode ---
-    obs::profile::Profiler::SpanToken dec_span;
-    if (pr)
-      dec_span =
-          pr->begin(self_id, "decode", obs::Stage::kDecode, j.bs, j.index);
-    rx->decode_prepare(job, ws);
     const std::size_t dec_n = rx->decode_subtask_count(job);
-    // Estimate the admission logic would have used: the EWMA per-subtask
-    // decode time tracks full-quality (Lm) decodes, scaled to the cap when
-    // the subframe was admitted degraded. With adaptive estimation on, the
-    // Eq. (1) fit's prediction (at the per-BS predicted iteration count)
-    // takes over, and the migration chunks are sized with the learned
-    // per-subtask time instead of the global EWMA.
-    const unsigned lm = config.phy.max_iterations;
-    const Duration dec_sub_est =
-        adaptive_decode_subtask(decode_subtask_est_ns.load());
-    Duration decode_est = dec_sub_est * static_cast<Duration>(dec_n);
-    unsigned assumed_iters = job.iteration_cap > 0 ? job.iteration_cap : lm;
-    if (adaptive) {
-      std::lock_guard lock(adaptive->mu);
-      decode_est = adaptive->est.predict_decode(j.bs, j.variant->mcs,
-                                                decode_est);
-      if (job.iteration_cap == 0)
-        assumed_iters = adaptive->est.predict_iterations(j.bs);
-    }
-    if (job.iteration_cap > 0 && lm > 0)
-      decode_est = decode_est * static_cast<Duration>(job.iteration_cap) /
-                   static_cast<Duration>(lm);
-    RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index,
-                     .a = obs::clamp_payload_ns(decode_est),
-                     .b = assumed_iters,
-                     .core = self_id, .kind = obs::EventKind::kStageBegin,
-                     .stage = obs::Stage::kDecode);
+    StageScope decode(*this, self_id, j.bs, j.index, obs::Stage::kDecode,
+                      &rec.timing.decode, obs::clamp_payload_ns(decode_est),
+                      decode_iters);
+    rx->decode_prepare(job, ws);
     if (migrate && dec_n > 1) {
-      run_stage_migrating(self_id, job, j, dec_n, dec_sub_est,
+      run_stage_migrating(self_id, job, j, dec_n, est.decode_subtask,
                           /*is_fft=*/false, rec.timing);
     } else {
       for (std::size_t s = 0; s < dec_n; ++s)
         rx->run_decode_subtask(job, s, ws);
     }
     rx->finalize_into(job, ws, rx_result);
-    if (pr)
-      pr->end(self_id, dec_span,
-              obs::profile::pack_decode_regressors(
-                  phy::modulation_order(j.variant->mcs),
-                  config.phy.num_antennas, j.variant->mcs),
-              obs::profile::pack_decode_load(static_cast<unsigned>(dec_n),
-                                             rx_result.iterations));
-    TimePoint t3 = clock.now();
-    rec.timing.decode = t3 - t2;
-    RTOPEX_TRACE_EVENT(trc(), .ts = t3, .bs = j.bs, .index = j.index,
-                       .core = self_id, .kind = obs::EventKind::kStageEnd,
-                       .stage = obs::Stage::kDecode);
+    decode.payload(obs::profile::pack_decode_regressors(
+                       phy::modulation_order(j.variant->mcs),
+                       config.phy.num_antennas, j.variant->mcs),
+                   obs::profile::pack_decode_load(
+                       static_cast<unsigned>(dec_n), rx_result.iterations));
+    rec.completion = decode.close();
     // A capped decode is cheaper than a full-quality one; feeding it into
     // the EWMA would bias the full-quality estimate downward and admit
     // subframes that then miss.
@@ -771,7 +749,6 @@ struct NodeRuntime::Impl {
       update_estimate(decode_subtask_est_ns,
                       rec.timing.decode / static_cast<Duration>(dec_n));
 
-    rec.completion = t3;
     rec.crc_ok = rx_result.crc_ok;
     rec.iterations = rx_result.iterations;
     rec.deadline_missed = rec.completion > j.deadline;
@@ -783,13 +760,7 @@ struct NodeRuntime::Impl {
           j.bs, j.variant->mcs, rec.iterations, rec.timing.decode,
           rec.timing.decode / static_cast<Duration>(dec_n));
     }
-    RTOPEX_TRACE_EVENT(trc(), .ts = rec.completion, .bs = j.bs,
-                       .index = j.index, .a = rec.deadline_missed ? 1u : 0u,
-                       .b = rec.iterations, .core = self_id,
-                       .kind = obs::EventKind::kSubframeEnd);
-    emit_job_spec(self_id, j, j.variant->mcs, rec, fft_n, dec_n);
-    if (pr) pr->end(self_id, sf_span);
-    return rec;
+    return finish(dec_n);
   }
 
   /// Kill switch (fault injection): a worker that reads true parks for the
@@ -919,28 +890,17 @@ struct NodeRuntime::Impl {
       MigratedChunk chunk;
       if (self.mailbox.try_take(chunk)) {
         table.set(id, CoreActivity::kHosting, 0);
-        RTOPEX_TRACE_NOW(trc(), .bs = chunk.bs, .index = chunk.index,
-                         .a = chunk.src_core, .core = id,
-                         .kind = obs::EventKind::kHostBegin,
-                         .stage = chunk.stage);
-        obs::profile::Profiler* const pr = prof();
-        obs::profile::Profiler::SpanToken host_span, host_stage_span;
-        if (pr) {
-          host_span = pr->begin(id, "host", obs::Stage::kNone, chunk.bs,
-                                chunk.index);
-          host_stage_span = pr->begin(id, obs::to_string(chunk.stage),
-                                      chunk.stage, chunk.bs, chunk.index);
-        }
+        StageScope host(*this, id, chunk.bs, chunk.index, chunk.stage,
+                        nullptr, chunk.src_core);
         std::uint32_t served = 0;
+        bool die = false;
         for (;;) {
           // Preemption and kill checks between subtasks — a killed host
           // finishes the subtask it claimed before parking, so it never
           // strands a claimed-but-incomplete index.
           if (self.pending.load(std::memory_order_acquire) > 0) break;
-          if (should_die(id)) {
-            self.mailbox.release();
-            return park(id);
-          }
+          die = should_die(id);
+          if (die) break;
           if (const fault::Hooks* h = fault::active();
               h && h->host_subtask && !h->host_subtask(id))
             break;
@@ -954,17 +914,10 @@ struct NodeRuntime::Impl {
           self.heartbeat.fetch_add(1, std::memory_order_relaxed);
           ++served;
         }
-        if (pr) {
-          // No payload on the stage child: a/b on decode-stage spans are
-          // reserved for the packed Eq. (1) regressors the fit consumes.
-          pr->end(id, host_stage_span);
-          pr->end(id, host_span, chunk.src_core, served);
-        }
-        RTOPEX_TRACE_NOW(trc(), .bs = chunk.bs, .index = chunk.index,
-                         .a = chunk.src_core, .b = served, .core = id,
-                         .kind = obs::EventKind::kHostEnd,
-                         .stage = chunk.stage);
+        host.payload(chunk.src_core, served);
+        host.close();
         self.mailbox.release();
+        if (die) return park(id);
         continue;
       }
       std::this_thread::yield();
@@ -1184,11 +1137,7 @@ NodeRuntime::NodeRuntime(const RuntimeConfig& config) {
   if (res.enable_watchdog && res.watchdog_timeout <= 0)
     throw std::invalid_argument(
         "NodeRuntime: non-positive watchdog_timeout");
-  if (res.enable_degradation &&
-      (res.min_turbo_iterations == 0 ||
-       res.min_turbo_iterations >= config.phy.max_iterations))
-    throw std::invalid_argument(
-        "NodeRuntime: min_turbo_iterations must be in [1, Lm)");
+  res.degrade.validate(config.phy.max_iterations);
   if (res.completion_flag_timeout < 0)
     throw std::invalid_argument(
         "NodeRuntime: negative completion_flag_timeout");
@@ -1308,15 +1257,15 @@ RuntimeReport NodeRuntime::run() {
                            .kind = obs::EventKind::kLost);
           // Capture the lost subframe too (on the ticker's own track): a
           // replay must see the full offered load, losses included.
-          Job lost_job;
-          lost_job.bs = bs;
-          lost_job.index = j;
-          lost_job.radio_time = radio_time;
-          lost_job.arrival = arrival;
-          lost_job.deadline = radio_time + cfg.deadline_budget;
-          im.emit_job_spec(im.ticker_track(), lost_job, rec.mcs, rec,
-                           im.rx->fft_subtask_count(),
-                           phy::num_code_blocks(rec.mcs, cfg.phy.num_prb()));
+          const Job lost_job{nullptr, bs, j, radio_time, arrival,
+                             radio_time + cfg.deadline_budget};
+          if (im.tracer) {
+            const std::size_t dec_n =
+                phy::num_code_blocks(rec.mcs, cfg.phy.num_prb());
+            im.emit_job_spec(im.ticker_track(), lost_job, rec.mcs, rec,
+                             im.rx->fft_subtask_count(), dec_n,
+                             im.estimates(bs, rec.mcs, dec_n));
+          }
           continue;
         }
         at += f.extra_delay;
@@ -1330,16 +1279,9 @@ RuntimeReport NodeRuntime::run() {
       // Cap the wait on a late delivery at one tick so the ticker never
       // falls behind the schedule; the job's recorded arrival stays `at`.
       im.clock.spin_until(std::min(at, arrival + cfg.subframe_period));
-      Job job;
-      const unsigned mcs =
-          cfg.mcs_cycle[(j + bs) % cfg.mcs_cycle.size()];
-      job.variant = &im.variant_for(bs, mcs);
-      job.bs = bs;
-      job.index = j;
-      job.radio_time = radio_time;
-      job.arrival = at;
-      job.deadline = radio_time + cfg.deadline_budget;
-      im.push_job(job);
+      const unsigned mcs = cfg.mcs_cycle[(j + bs) % cfg.mcs_cycle.size()];
+      im.push_job({&im.variant_for(bs, mcs), bs, j, radio_time, at,
+                   radio_time + cfg.deadline_budget});
     }
   }
 
@@ -1500,12 +1442,10 @@ void fill_registry(const RuntimeReport& report,
   registry.add_histogram("rtopex_runtime_processing_time_us",
                          "Per-subframe processing time (start to completion).",
                          processing_us);
-  const char* stage_names[obs::kNumStages] = {"none", "fft", "demod",
-                                              "decode"};
   for (unsigned s = 1; s < obs::kNumStages; ++s)
-    registry.add_histogram("rtopex_runtime_stage_us",
-                           "Per-stage processing time.", stage_us[s],
-                           {{"stage", stage_names[s]}});
+    registry.add_histogram(
+        "rtopex_runtime_stage_us", "Per-stage processing time.", stage_us[s],
+        {{"stage", obs::to_string(static_cast<obs::Stage>(s))}});
 
   // Health series (present only when the run had health enabled — the
   // snapshot carries its per-node row then).

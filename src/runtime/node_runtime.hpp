@@ -30,6 +30,7 @@
 #include "obs/profile/profile.hpp"
 #include "obs/tracer.hpp"
 #include "phy/uplink_rx.hpp"
+#include "sched/admission.hpp"
 #include "transport/transport.hpp"
 
 namespace rtopex::runtime {
@@ -48,9 +49,9 @@ struct ResilienceConfig {
 
   /// Graceful degradation: when the full-quality slack check fails, retry
   /// the estimate with the turbo-iteration cap shrunk (down to
-  /// `min_turbo_iterations`) before dropping the subframe.
-  bool enable_degradation = false;
-  unsigned min_turbo_iterations = 1;
+  /// `degrade.min_iterations`, which must be in [1, Lm)) before dropping
+  /// the subframe. The same config and decision (sched::admit) as the sim.
+  sched::DegradeConfig degrade;
 
   /// Bound on the migration-recovery completion-flag wait. Zero means wait
   /// forever (the pre-resilience behaviour). On expiry the migrator checks

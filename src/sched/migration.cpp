@@ -5,6 +5,15 @@
 
 namespace rtopex::sched {
 
+void sort_by_window(std::vector<MigrationCandidate>& candidates) {
+  std::sort(candidates.begin(), candidates.end(),
+            [](const MigrationCandidate& a, const MigrationCandidate& b) {
+              if (a.free_window != b.free_window)
+                return a.free_window > b.free_window;
+              return a.core < b.core;
+            });
+}
+
 MigrationPlan plan_migration(unsigned num_subtasks, Duration subtask_time,
                              Duration migration_cost,
                              std::span<const MigrationCandidate> candidates,

@@ -50,8 +50,12 @@ struct MigrationConstraints {
   bool local_keeps_majority = true;
 };
 
+/// Orders candidates the way both substrates plan: widest free window
+/// first, ties by core id.
+void sort_by_window(std::vector<MigrationCandidate>& candidates);
+
 /// Runs Algorithm 1. Candidates are considered in the order given (callers
-/// typically sort by descending window). `subtask_time` must be > 0.
+/// sort them with sort_by_window). `subtask_time` must be > 0.
 MigrationPlan plan_migration(unsigned num_subtasks, Duration subtask_time,
                              Duration migration_cost,
                              std::span<const MigrationCandidate> candidates,

@@ -122,12 +122,7 @@ sim::SchedulerMetrics RtOpexScheduler::run(
       const Duration window = preempt - t;
       if (window > 0) cands.push_back({k, window});
     }
-    std::sort(cands.begin(), cands.end(),
-              [](const MigrationCandidate& a, const MigrationCandidate& b) {
-                if (a.free_window != b.free_window)
-                  return a.free_window > b.free_window;
-                return a.core < b.core;
-              });
+    sort_by_window(cands);
     return cands;
   };
 
@@ -270,13 +265,21 @@ sim::SchedulerMetrics RtOpexScheduler::run(
     unsigned executed_iters = 0;
     TimePoint t = start;
 
-    // --- FFT stage (deterministic duration; exact slack check) ---
-    if (t + w.costs.fft > w.deadline) {
+    // A failed slack check ends the subframe where it stands; the kDrop
+    // carries the estimate that did not fit (a) and the slack it had (b).
+    auto drop = [&](obs::Stage stage, const Admission& verdict) {
       miss = dropped = true;
-      missed_stage = obs::Stage::kFft;
+      missed_stage = stage;
       RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
+                         .a = obs::clamp_payload_ns(verdict.estimate),
+                         .b = obs::clamp_payload_ns(w.deadline - t),
                          .core = self, .kind = obs::EventKind::kDrop,
-                         .stage = obs::Stage::kFft);
+                         .stage = stage);
+    };
+
+    // --- FFT stage (deterministic duration; exact slack check) ---
+    if (const Admission v = admit(t, w.deadline, w.costs.fft); !v.admit) {
+      drop(obs::Stage::kFft, v);
     } else {
       RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
                          .a = obs::clamp_payload_ns(w.costs.fft),
@@ -315,12 +318,8 @@ sim::SchedulerMetrics RtOpexScheduler::run(
 
     // --- Demod stage (serial, deterministic) ---
     if (!miss) {
-      if (t + w.costs.demod > w.deadline) {
-        miss = dropped = true;
-        missed_stage = obs::Stage::kDemod;
-        RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                           .core = self, .kind = obs::EventKind::kDrop,
-                           .stage = obs::Stage::kDemod);
+      if (const Admission v = admit(t, w.deadline, w.costs.demod); !v.admit) {
+        drop(obs::Stage::kDemod, v);
       } else {
         RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
                            .a = obs::clamp_payload_ns(w.costs.demod),
@@ -371,75 +370,57 @@ sim::SchedulerMetrics RtOpexScheduler::run(
                         w.wcet.decode_subtask
               : w.decode_optimistic;
       const TimePoint decode_start = t;
-      if (t + admission_estimate > w.deadline) {
-        // Even the post-migration worst case cannot fit: before dropping,
-        // try a serial decode with the iteration cap shrunk (migration
-        // plans assume full-quality subtask times, so the degraded
-        // fallback runs unmigrated).
-        const DegradePlan dplan = plan_degrade(w, t, config_.degrade);
-        if (dplan.cap == 0) {
-          miss = dropped = true;
-          missed_stage = obs::Stage::kDecode;
+      // A failed post-migration check degrades along the serial line:
+      // migration plans assume full-quality subtask times, so the degraded
+      // fallback runs unmigrated.
+      const Admission verdict =
+          admit(t, w.deadline, admission_estimate, decode_line(w, adaptive),
+                config_.degrade);
+      if (!verdict.admit) {
+        drop(obs::Stage::kDecode, verdict);
+      } else {
+        if (verdict.cap > 0) {
+          degrade_level = verdict.level;
+          degraded_failure = w.decodable && w.iterations > verdict.cap;
+          executed_iters = std::min(w.iterations, verdict.cap);
           RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                             .core = self, .kind = obs::EventKind::kDrop,
-                             .stage = obs::Stage::kDecode);
-        } else {
-          degrade_level = dplan.level;
-          degraded_failure = w.decodable && w.iterations > dplan.cap;
-          executed_iters = std::min(w.iterations, dplan.cap);
-          RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                             .a = dplan.cap, .core = self,
+                             .a = verdict.cap, .core = self,
                              .kind = obs::EventKind::kDegrade,
                              .stage = obs::Stage::kDecode);
           RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                             .a = obs::clamp_payload_ns(dplan.estimate),
-                             .b = dplan.cap, .core = self,
+                             .a = obs::clamp_payload_ns(verdict.estimate),
+                             .b = verdict.cap, .core = self,
                              .kind = obs::EventKind::kStageBegin,
                              .stage = obs::Stage::kDecode);
-          t += degraded_decode_time(w, dplan.cap);
-          if (t > w.deadline) {
-            miss = terminated = true;
-            missed_stage = obs::Stage::kDecode;
-            t = w.deadline;
-          }
-          metrics.record_stage(obs::Stage::kDecode, to_us(t - decode_start));
-          RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                             .core = self, .kind = obs::EventKind::kStageEnd,
-                             .stage = obs::Stage::kDecode);
-          if (terminated)
-            RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                               .core = self,
-                               .kind = obs::EventKind::kTerminate,
-                               .stage = obs::Stage::kDecode);
-        }
-      } else {
-        metrics.decode_subtasks_total += w.costs.decode_subtasks;
-        executed_iters = w.iterations;
-        RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                           .a = obs::clamp_payload_ns(admission_estimate),
-                           .b = adaptive
-                                    ? adaptive->predict_iterations(w.bs)
-                                    : (config_.admission ==
-                                               AdmissionPolicy::kWcet
-                                           ? w.lm
-                                           : 1u),
-                           .core = self, .kind = obs::EventKind::kStageBegin,
-                           .stage = obs::Stage::kDecode);
-        if (config_.migrate_decode) {
-          t += w.costs.decode_serial();
-          const StageOutcome o =
-              run_stage(t, plan, w.costs.decode_subtasks,
-                        w.costs.decode_subtask, w, self, obs::Stage::kDecode);
-          metrics.decode_subtasks_migrated += o.migrated;
-          metrics.recoveries += o.recovered;
-          if (host_core < 0) host_core = o.first_host;
-          t = o.end;
-          if (o.lost_results) {
-            miss = true;
-            missed_stage = obs::Stage::kDecode;
-          }
+          t += degraded_decode_time(w, verdict.cap);
         } else {
-          t += w.costs.decode;
+          metrics.decode_subtasks_total += w.costs.decode_subtasks;
+          executed_iters = w.iterations;
+          RTOPEX_TRACE_EVENT(
+              tracer, .ts = t, .bs = w.bs, .index = w.index,
+              .a = obs::clamp_payload_ns(admission_estimate),
+              .b = adaptive ? adaptive->predict_iterations(w.bs)
+                            : (config_.admission == AdmissionPolicy::kWcet
+                                   ? w.lm
+                                   : 1u),
+              .core = self, .kind = obs::EventKind::kStageBegin,
+              .stage = obs::Stage::kDecode);
+          if (config_.migrate_decode) {
+            t += w.costs.decode_serial();
+            const StageOutcome o =
+                run_stage(t, plan, w.costs.decode_subtasks,
+                          w.costs.decode_subtask, w, self, obs::Stage::kDecode);
+            metrics.decode_subtasks_migrated += o.migrated;
+            metrics.recoveries += o.recovered;
+            if (host_core < 0) host_core = o.first_host;
+            t = o.end;
+            if (o.lost_results) {
+              miss = true;
+              missed_stage = obs::Stage::kDecode;
+            }
+          } else {
+            t += w.costs.decode;
+          }
         }
         if (!miss && t > w.deadline) {
           miss = terminated = true;
@@ -455,7 +436,7 @@ sim::SchedulerMetrics RtOpexScheduler::run(
                              .core = self,
                              .kind = obs::EventKind::kTerminate,
                              .stage = obs::Stage::kDecode);
-        if (!terminated)
+        else if (verdict.cap == 0)
           metrics.record_decode_estimate(to_us(admission_estimate),
                                          to_us(static_estimate),
                                          to_us(t - decode_start));

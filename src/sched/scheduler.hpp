@@ -16,6 +16,7 @@
 
 #include "common/resilience.hpp"
 #include "model/online_fit.hpp"
+#include "sched/admission.hpp"
 #include "sim/metrics.hpp"
 #include "sim/workload.hpp"
 
@@ -57,14 +58,6 @@ class NodeScheduler {
 Duration decode_admission_estimate(const sim::SubframeWork& w,
                                    AdmissionPolicy policy);
 
-/// Graceful-degradation knobs, shared by every policy: when the decode
-/// slack check fails at full quality, retry with the turbo-iteration cap
-/// shrunk (down to min_iterations) before dropping the subframe.
-struct DegradeConfig {
-  bool enabled = false;
-  unsigned min_iterations = 1;
-};
-
 /// Opt-in online adaptive estimation (ROADMAP item 5), shared by every
 /// policy. When enabled, run() builds a model::OnlineEstimators bundle and
 /// the decode admission estimate becomes the streaming Eq. (1) fit at the
@@ -99,17 +92,12 @@ std::optional<std::vector<sim::SubframeWork>> filter_faulted(
     std::span<const sim::SubframeWork> work, sim::SchedulerMetrics& metrics,
     obs::Tracer* tracer = nullptr);
 
-/// Degraded-decode planning: the largest iteration cap whose (WCET-model)
-/// estimate fits the deadline from `t`, or cap = 0 when even
-/// min_iterations cannot fit. The model interpolates linearly between the
-/// L = 1 and L = Lm decode estimates (Eq. (1): decode cost ~ linear in L).
-struct DegradePlan {
-  unsigned cap = 0;  ///< 0: drop — even minimal quality cannot fit.
-  DegradeLevel level = DegradeLevel::kNone;
-  Duration estimate = 0;  ///< admission estimate at `cap`.
-};
-DegradePlan plan_degrade(const sim::SubframeWork& w, TimePoint t,
-                         const DegradeConfig& cfg);
+/// The Eq. (1) line a sim scheduler degrades along: the static model
+/// between the L = 1 (decode_optimistic) and L = Lm (wcet.decode) bounds,
+/// or — with `adaptive` — the learned fit at those two points, each falling
+/// back to its static bound until the fit warms up.
+DecodeLine decode_line(const sim::SubframeWork& w,
+                       const model::OnlineEstimators* adaptive = nullptr);
 
 /// Actual (jittered) decode duration when capped at `cap` iterations: the
 /// sampled decode cost scaled down to the executed iteration count

@@ -20,18 +20,15 @@ std::optional<model::OnlineEstimators> make_estimators(
                                  cfg.params);
 }
 
-namespace {
-
-/// Model-predicted (jitter-free) full decode duration at `l` iterations:
-/// linear interpolation between the L = 1 and L = Lm bounds.
-Duration model_decode(const sim::SubframeWork& w, unsigned l) {
-  if (w.lm <= 1) return w.wcet.decode;
-  const Duration slope =
-      (w.wcet.decode - w.decode_optimistic) / static_cast<Duration>(w.lm - 1);
-  return w.decode_optimistic + static_cast<Duration>(l - 1) * slope;
+DecodeLine decode_line(const sim::SubframeWork& w,
+                       const model::OnlineEstimators* adaptive) {
+  DecodeLine line{w.decode_optimistic, w.wcet.decode, w.lm};
+  if (adaptive) {
+    line.at_one = adaptive->predict_decode_at(w.mcs, 1, line.at_one);
+    line.at_max = adaptive->predict_decode_at(w.mcs, w.lm, line.at_max);
+  }
+  return line;
 }
-
-}  // namespace
 
 std::optional<std::vector<sim::SubframeWork>> filter_faulted(
     std::span<const sim::SubframeWork> work, sim::SchedulerMetrics& metrics,
@@ -70,35 +67,17 @@ std::optional<std::vector<sim::SubframeWork>> filter_faulted(
   return rest;
 }
 
-DegradePlan plan_degrade(const sim::SubframeWork& w, TimePoint t,
-                         const DegradeConfig& cfg) {
-  DegradePlan plan;
-  if (!cfg.enabled || w.lm <= 1) return plan;
-  const unsigned lmin = std::max(1u, std::min(cfg.min_iterations, w.lm - 1));
-  for (unsigned cap = w.lm - 1; cap >= lmin; --cap) {
-    const Duration est = model_decode(w, cap);
-    if (t + est <= w.deadline) {
-      plan.cap = cap;
-      plan.level = cap <= lmin ? DegradeLevel::kMinimalIterations
-                               : DegradeLevel::kReducedIterations;
-      plan.estimate = est;
-      return plan;
-    }
-    if (cap == lmin) break;
-  }
-  return plan;
-}
-
 Duration degraded_decode_time(const sim::SubframeWork& w, unsigned cap) {
   const unsigned executed = std::min(w.iterations, cap);
   // Scale the sampled (jittered) cost to the executed iteration count
   // along the model slope: jitter multiplies the whole decode, so the
   // ratio of model predictions carries it.
-  const Duration predicted = model_decode(w, w.iterations);
+  const DecodeLine line = decode_line(w);
+  const Duration predicted = line.at(w.iterations);
   if (predicted <= 0) return w.costs.decode;
   return static_cast<Duration>(
       static_cast<double>(w.costs.decode) *
-      static_cast<double>(model_decode(w, executed)) /
+      static_cast<double>(line.at(executed)) /
       static_cast<double>(predicted));
 }
 
@@ -110,48 +89,45 @@ SerialOutcome execute_serial(const sim::SubframeWork& w, TimePoint start,
                              model::OnlineEstimators* adaptive) {
   SerialOutcome out;
   TimePoint t = start;
+  // A failed slack check ends the subframe where it stands; the kDrop
+  // carries the estimate that did not fit (a) and the slack it had (b).
+  auto drop = [&](obs::Stage stage, const Admission& verdict) {
+    out.end = t;
+    out.miss = out.dropped = true;
+    out.missed_stage = stage;
+    RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
+                       .a = obs::clamp_payload_ns(verdict.estimate),
+                       .b = obs::clamp_payload_ns(w.deadline - t),
+                       .core = core, .kind = obs::EventKind::kDrop,
+                       .stage = stage);
+    return out;
+  };
+
+  // One executed stage: kStageBegin (a = its estimate, b) now, kStageEnd
+  // `d` later.
+  auto run = [&](obs::Stage stage, Duration d, Duration est,
+                 std::uint32_t b = 0) {
+    RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
+                       .a = obs::clamp_payload_ns(est), .b = b, .core = core,
+                       .kind = obs::EventKind::kStageBegin, .stage = stage);
+    t += d;
+    RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
+                       .core = core, .kind = obs::EventKind::kStageEnd,
+                       .stage = stage);
+    return d;
+  };
 
   // FFT (deterministic duration -> exact slack check).
   const Duration fft = w.costs.fft + entry_penalty;
-  if (t + fft > w.deadline) {
-    out.end = t;
-    out.miss = out.dropped = true;
-    out.missed_stage = obs::Stage::kFft;
-    RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                       .core = core, .kind = obs::EventKind::kDrop,
-                       .stage = obs::Stage::kFft);
-    return out;
-  }
-  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                     .a = obs::clamp_payload_ns(fft), .core = core,
-                     .kind = obs::EventKind::kStageBegin,
-                     .stage = obs::Stage::kFft);
-  t += fft;
-  out.fft_ns = fft;
-  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                     .core = core, .kind = obs::EventKind::kStageEnd,
-                     .stage = obs::Stage::kFft);
+  if (const Admission v = admit(t, w.deadline, fft); !v.admit)
+    return drop(obs::Stage::kFft, v);
+  out.fft_ns = run(obs::Stage::kFft, fft, fft);
   if (adaptive) adaptive->observe_fft(w.costs.fft_subtask);
 
   // Demod (deterministic).
-  if (t + w.costs.demod > w.deadline) {
-    out.end = t;
-    out.miss = out.dropped = true;
-    out.missed_stage = obs::Stage::kDemod;
-    RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                       .core = core, .kind = obs::EventKind::kDrop,
-                       .stage = obs::Stage::kDemod);
-    return out;
-  }
-  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                     .a = obs::clamp_payload_ns(w.costs.demod), .core = core,
-                     .kind = obs::EventKind::kStageBegin,
-                     .stage = obs::Stage::kDemod);
-  t += w.costs.demod;
-  out.demod_ns = w.costs.demod;
-  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                     .core = core, .kind = obs::EventKind::kStageEnd,
-                     .stage = obs::Stage::kDemod);
+  if (const Admission v = admit(t, w.deadline, w.costs.demod); !v.admit)
+    return drop(obs::Stage::kDemod, v);
+  out.demod_ns = run(obs::Stage::kDemod, w.costs.demod, w.costs.demod);
 
   // Decode: admission per policy (WCET by default), then actual execution
   // with termination at the deadline. A failed full-quality check first
@@ -164,54 +140,37 @@ SerialOutcome execute_serial(const sim::SubframeWork& w, TimePoint start,
     iter_est = adaptive->predict_iterations(w.bs);
     decode_est = adaptive->predict_decode(w.bs, w.mcs, decode_est);
   }
+  const Admission verdict =
+      admit(t, w.deadline, decode_est, decode_line(w, adaptive), degrade);
+  if (!verdict.admit) return drop(obs::Stage::kDecode, verdict);
+  decode_est = verdict.estimate;
   out.executed_iterations = w.iterations;
-  if (t + decode_est > w.deadline) {
-    const DegradePlan plan = plan_degrade(w, t, degrade);
-    if (plan.cap == 0) {
-      out.end = t;
-      out.miss = out.dropped = true;
-      out.missed_stage = obs::Stage::kDecode;
-      out.executed_iterations = 0;
-      RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                         .core = core, .kind = obs::EventKind::kDrop,
-                         .stage = obs::Stage::kDecode);
-      return out;
-    }
-    out.degrade = plan.level;
-    out.degraded_failure = w.decodable && w.iterations > plan.cap;
-    decode_time = degraded_decode_time(w, plan.cap);
-    decode_est = plan.estimate;
-    iter_est = plan.cap;
-    out.executed_iterations = std::min(w.iterations, plan.cap);
+  if (verdict.cap > 0) {
+    out.degrade = verdict.level;
+    out.degraded_failure = w.decodable && w.iterations > verdict.cap;
+    decode_time = degraded_decode_time(w, verdict.cap);
+    iter_est = verdict.cap;
+    out.executed_iterations = std::min(w.iterations, verdict.cap);
     RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                       .a = plan.cap, .core = core,
+                       .a = verdict.cap, .core = core,
                        .kind = obs::EventKind::kDegrade,
                        .stage = obs::Stage::kDecode);
   }
   out.decode_est_ns = decode_est;
-  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                     .a = obs::clamp_payload_ns(decode_est), .b = iter_est,
-                     .core = core, .kind = obs::EventKind::kStageBegin,
-                     .stage = obs::Stage::kDecode);
-  if (t + decode_time > w.deadline) {
-    out.decode_ns = w.deadline - t;
-    out.end = w.deadline;
-    out.miss = out.terminated = true;
+  // A decode still running at the deadline is terminated there.
+  out.terminated = t + decode_time > w.deadline;
+  out.decode_ns = run(obs::Stage::kDecode,
+                      out.terminated ? w.deadline - t : decode_time,
+                      decode_est, iter_est);
+  out.end = t;
+  if (out.terminated) {
+    out.miss = true;
     out.missed_stage = obs::Stage::kDecode;
-    RTOPEX_TRACE_EVENT(tracer, .ts = w.deadline, .bs = w.bs, .index = w.index,
-                       .core = core, .kind = obs::EventKind::kStageEnd,
-                       .stage = obs::Stage::kDecode);
-    RTOPEX_TRACE_EVENT(tracer, .ts = w.deadline, .bs = w.bs, .index = w.index,
+    RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
                        .core = core, .kind = obs::EventKind::kTerminate,
                        .stage = obs::Stage::kDecode);
     return out;
   }
-  t += decode_time;
-  out.decode_ns = decode_time;
-  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                     .core = core, .kind = obs::EventKind::kStageEnd,
-                     .stage = obs::Stage::kDecode);
-  out.end = t;
   out.completed = true;
   // Close the loop: feed the executed decode back into the estimators (the
   // executed iteration count and the duration it produced are a consistent

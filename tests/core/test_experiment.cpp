@@ -66,5 +66,19 @@ TEST(ExperimentTest, RtOpexConfigRttSyncedFromTopLevel) {
   EXPECT_GT(result.metrics.total_subframes, 0u);
 }
 
+TEST(ExperimentTest, RejectsOutOfRangeDegradeMinimum) {
+  // The experiment entry validates the degradation config instead of the
+  // schedulers silently clamping it: min_iterations must be in [1, Lm).
+  auto cfg = small_config();
+  cfg.workload.subframes_per_bs = 10;
+  cfg.degrade.enabled = true;
+  cfg.degrade.min_iterations = cfg.workload.max_iterations;
+  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+  cfg.degrade.min_iterations = 0;
+  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+  cfg.degrade.min_iterations = cfg.workload.max_iterations - 1;
+  EXPECT_NO_THROW(run_experiment(cfg));
+}
+
 }  // namespace
 }  // namespace rtopex::core

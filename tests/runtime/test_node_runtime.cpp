@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
+#include "runtime/fault_injection.hpp"
 #include "runtime/node_runtime.hpp"
 #include "support/sanitizer_pacing.hpp"
 
@@ -87,6 +89,7 @@ TEST(NodeRuntimeTest, SlackCheckDropsUnderImpossibleBudget) {
   // decode; the slack check must drop (not hang or crash), and dropped
   // subframes must not count as CRC failures.
   cfg.deadline_budget = milliseconds(1);
+  cfg.trace.enabled = true;
   NodeRuntime runtime(cfg);
   const auto report = runtime.run();
   EXPECT_EQ(report.records.size(),
@@ -97,6 +100,69 @@ TEST(NodeRuntimeTest, SlackCheckDropsUnderImpossibleBudget) {
   EXPECT_EQ(report.crc_failures, 0u);
   for (const auto& r : report.records)
     if (r.dropped) EXPECT_TRUE(r.deadline_missed);
+  // Each drop shows its decision: a = the admission estimate that did not
+  // fit, b = the slack it had.
+  ASSERT_EQ(report.trace.total_drops(), 0u);
+  std::size_t drops = 0;
+  for (const auto& e : report.trace.events) {
+    if (e.kind != obs::EventKind::kDrop) continue;
+    ++drops;
+    EXPECT_GT(e.a, e.b) << "bs=" << e.bs << " idx=" << e.index;
+  }
+  EXPECT_EQ(drops, report.dropped);
+}
+
+TEST(NodeRuntimeTest, StageTimingEqualsItsTracedStageSpan) {
+  // Each stage is instrumented once: the record's stage time is exactly the
+  // span between its kStageBegin and kStageEnd, and every hosted chunk's
+  // kHostBegin is closed by a kHostEnd. Forced idle windows plan migration
+  // on every multi-block stage, so hosting is likely even on a single-core
+  // host (whether a host takes a chunk before its revocation is timing).
+  auto cfg = small_config(RuntimeMode::kRtOpex);
+  cfg.mcs_cycle = {27, 2};
+  cfg.subframes_per_bs = 4;
+  cfg.trace.enabled = true;
+  cfg.profile.enabled = true;
+  fault::Hooks hooks;
+  hooks.plan_window = [](unsigned, unsigned, Duration& window) {
+    window = milliseconds(1000);
+  };
+  fault::ScopedInjection inject(std::move(hooks));
+  NodeRuntime runtime(cfg);
+  const auto report = runtime.run();
+  check_complete(report, cfg);
+  ASSERT_EQ(report.trace.total_drops(), 0u);
+
+  using Key = std::tuple<unsigned, std::uint32_t, obs::Stage>;
+  std::map<Key, TimePoint> begin, end;
+  std::size_t host_begins = 0, host_ends = 0;
+  for (const auto& e : report.trace.events) {
+    const Key key{e.bs, e.index, e.stage};
+    if (e.kind == obs::EventKind::kStageBegin)
+      EXPECT_TRUE(begin.emplace(key, e.ts).second);
+    else if (e.kind == obs::EventKind::kStageEnd)
+      EXPECT_TRUE(end.emplace(key, e.ts).second);
+    host_begins += e.kind == obs::EventKind::kHostBegin;
+    host_ends += e.kind == obs::EventKind::kHostEnd;
+  }
+  EXPECT_EQ(host_begins, host_ends);
+  EXPECT_EQ(begin.size(), 3 * report.records.size());
+  for (const auto& r : report.records) {
+    for (const auto& [stage, timing] :
+         {std::pair{obs::Stage::kFft, r.timing.fft},
+          std::pair{obs::Stage::kDemod, r.timing.demod},
+          std::pair{obs::Stage::kDecode, r.timing.decode}}) {
+      const Key key{r.bs, r.index, stage};
+      ASSERT_TRUE(begin.count(key) && end.count(key))
+          << "bs=" << r.bs << " idx=" << r.index;
+      EXPECT_EQ(timing, end[key] - begin[key])
+          << "bs=" << r.bs << " idx=" << r.index << " "
+          << obs::to_string(stage);
+    }
+    // The decode stage closes the subframe.
+    const Key decode{r.bs, r.index, obs::Stage::kDecode};
+    EXPECT_EQ(r.completion, end[decode]);
+  }
 }
 
 TEST(NodeRuntimeTest, EnforcementOffOnlyRecordsMisses) {

@@ -8,6 +8,7 @@
 #include <map>
 
 #include "model/timing_model.hpp"
+#include "obs/tracer.hpp"
 #include "sched/partitioned.hpp"
 #include "sched/rt_opex.hpp"
 #include "sim/workload.hpp"
@@ -134,6 +135,46 @@ TEST(ResilienceSimTest, DegradationStrictlyReducesMisses) {
   rc.degrade.enabled = true;
   const auto o1 = sched::RtOpexScheduler(cfg.num_basestations, rc).run(work);
   EXPECT_LE(o1.deadline_misses, o0.deadline_misses);
+}
+
+// Every slack-check drop shows its decision: a = the estimate that did not
+// fit, b = the slack it had, so a > b on every kDrop — at every stage, with
+// and without degradation, in both drop paths (serial and RT-OPEX).
+TEST(ResilienceSimTest, DropPayloadCarriesEstimateAboveSlack) {
+  auto cfg = base_workload();
+  cfg.subframes_per_bs = 500;
+  auto check = [&](sched::NodeScheduler&& scheduler, Duration rtt,
+                   obs::Tracer& tracer, const char* label) {
+    const auto work = make_work(cfg, rtt);
+    const auto m = scheduler.run(work);
+    const obs::TraceStore store = tracer.take();
+    ASSERT_EQ(store.total_drops(), 0u) << label;
+    std::size_t drops = 0;
+    for (const obs::TraceEvent& e : store.events) {
+      if (e.kind != obs::EventKind::kDrop) continue;
+      ++drops;
+      EXPECT_GT(e.a, e.b) << label << " bs=" << e.bs << " idx=" << e.index
+                          << " stage=" << obs::to_string(e.stage);
+    }
+    EXPECT_EQ(drops, m.dropped) << label;
+    EXPECT_GT(drops, 0u) << label << ": the budget must force drops";
+  };
+  for (const bool degrade : {false, true}) {
+    obs::Tracer tracer(16, 1 << 14, 1 << 20);
+    sched::PartitionedConfig pc;
+    pc.rtt_half = microseconds(1300);
+    pc.degrade.enabled = degrade;
+    pc.tracer = &tracer;
+    check(sched::PartitionedScheduler(cfg.num_basestations, pc), pc.rtt_half,
+          tracer, degrade ? "partitioned+degrade" : "partitioned");
+  }
+  obs::Tracer tracer(16, 1 << 14, 1 << 20);
+  sched::RtOpexConfig rc;
+  rc.rtt_half = microseconds(1300);
+  rc.degrade.enabled = true;
+  rc.tracer = &tracer;
+  check(sched::RtOpexScheduler(cfg.num_basestations, rc), rc.rtt_half,
+        tracer, "rt-opex+degrade");
 }
 
 TEST(ResilienceSimTest, CoreFailureRepartitionsDeterministically) {
